@@ -13,33 +13,32 @@
 //! launch can touch is `offset + Σ stride_i · (v_i mod n_i)` with known
 //! variable ranges.
 //!
-//! [`PlanGeometry::from_spec`] re-derives exactly the geometry
-//! `Plan::build_impl` would (kernel width from the tolerance, fine-grid
-//! sizes under the sizing policy — including Bluestein/prime shapes —
-//! Remark-1 bin sizes, Remark-2 method resolution), so the static
-//! checker explores the same launch configurations the library would
-//! actually run, without a device. [`plans_for`] then yields one plan
-//! per kernel the configuration can launch; `gpu-sim`'s checker passes
-//! ([`AccessPlan::check_all`]) and the trace-containment test
+//! [`PlanGeometry`] is the plan's own geometry: [`PlanGeometry::from_spec`]
+//! projects the [`Geometry`] that `Plan` construction resolves (kernel
+//! width from the tolerance, fine-grid sizes under the sizing policy —
+//! including Bluestein/prime shapes — Remark-1 bin sizes, Remark-2
+//! method resolution), so the static checker explores exactly the
+//! launch configurations the library runs, without a device.
+//! [`plans_for`] then yields one plan per kernel the configuration can
+//! launch; `gpu-sim`'s checker passes ([`AccessPlan::check_all`]) and
+//! the trace-containment test
 //! ([`AccessPlan::contains_trace`]) do the rest.
 
 use crate::bins::BinLayout;
-use crate::opts::{default_bin_size, resolve_spread_method, Method, Tuning};
+use crate::opts::{Geometry, Method, Tuning};
 use gpu_sim::{AccessPlan, DimTerm, IndexExpr, Scope, ThreadMap};
 use nufft_common::hazard::AccessKind;
 use nufft_common::shape::Shape;
-use nufft_common::smooth::fine_grid_size_with;
-use nufft_common::spec::{Precision, TransformSpec};
+use nufft_common::spec::TransformSpec;
 use nufft_common::Result;
-use nufft_kernels::EsKernel;
 
 /// Threads per block the SM spread and the bin-sort passes use (fixed
 /// in their kernels, unlike the GM paths which take it from [`Tuning`]).
 const SM_TPB: usize = 256;
 
 /// Everything about one reachable launch configuration that the
-/// symbolic plans depend on, derived from a [`TransformSpec`] + point
-/// count + [`Tuning`] exactly the way plan construction derives it.
+/// symbolic plans depend on: the plan's [`Geometry`] for a
+/// [`TransformSpec`] + [`Tuning`], plus the point count and word sizes.
 #[derive(Clone, Debug)]
 pub struct PlanGeometry {
     pub dim: usize,
@@ -65,12 +64,11 @@ pub struct PlanGeometry {
 }
 
 impl PlanGeometry {
-    /// Re-derive the launch geometry `Plan::build_impl` would produce
-    /// for this spec, point count, and tuning. `device_shared_cap` is
-    /// the device's shared-memory-per-block limit (the Remark-2 budget
-    /// is `tuning.shared_mem_budget.min(device_shared_cap)`, as at plan
-    /// build). Fails exactly where plan construction would: invalid
-    /// spec, tolerance outside the kernel table, explicit SM infeasible.
+    /// The launch geometry a plan built from this spec and tuning runs
+    /// ([`Geometry::resolve`]), for `m` points. `device_shared_cap` is
+    /// the device's shared-memory-per-block limit. Fails exactly where
+    /// plan construction does: invalid spec, tolerance outside the
+    /// kernel table, explicit SM infeasible.
     pub fn from_spec(
         spec: &TransformSpec,
         m: usize,
@@ -78,35 +76,29 @@ impl PlanGeometry {
         device_shared_cap: usize,
     ) -> Result<PlanGeometry> {
         spec.validate()?;
-        let is_double = spec.precision == Precision::F64;
+        let g = Geometry::resolve(
+            &spec.modes,
+            spec.eps,
+            spec.precision,
+            spec.method,
+            spec.fine_sizing,
+            tuning,
+            device_shared_cap,
+        )?;
+        let layout = BinLayout::new(g.fine, g.bin_size);
         let real_bytes = spec.precision.bytes();
-        let complex_bytes = 2 * real_bytes;
-        let kernel = if (tuning.upsampfac - 2.0).abs() < 1e-12 {
-            EsKernel::for_tolerance(spec.eps, is_double)?
-        } else {
-            EsKernel::for_tolerance_sigma(spec.eps, tuning.upsampfac, is_double)?
-        };
-        let modes = Shape::from_slice(&spec.modes);
-        let fine =
-            modes.map(|_, n| fine_grid_size_with(n, tuning.upsampfac, kernel.w, spec.fine_sizing));
-        let dim = modes.dim;
-        let bin_size = tuning.bin_size.unwrap_or_else(|| default_bin_size(dim));
-        let budget = tuning.shared_mem_budget.min(device_shared_cap);
-        let method =
-            resolve_spread_method(spec.method, bin_size, dim, kernel.w, complex_bytes, budget)?;
-        let layout = BinLayout::new(fine, bin_size);
         Ok(PlanGeometry {
-            dim,
-            fine,
+            dim: g.modes.dim,
+            fine: g.fine,
             m: m.max(1),
-            w: kernel.w,
+            w: g.kernel.w,
             bin_size: layout.bin_size,
             nbins: layout.total(),
             msub: tuning.msub.max(1),
             threads_per_block: tuning.threads_per_block.max(1),
             real_bytes,
-            complex_bytes,
-            method,
+            complex_bytes: 2 * real_bytes,
+            method: g.method,
         })
     }
 
@@ -556,6 +548,7 @@ pub fn spread_gm_racy_plan(g: &PlanGeometry) -> AccessPlan {
 mod tests {
     use super::*;
     use gpu_sim::DeviceProps;
+    use nufft_common::spec::Precision;
 
     fn geom(spec: &TransformSpec) -> PlanGeometry {
         PlanGeometry::from_spec(spec, 1000, &Tuning::default(), 49_152).unwrap()

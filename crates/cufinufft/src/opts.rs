@@ -11,7 +11,10 @@
 use crate::recovery::RecoveryPolicy;
 use gpu_sim::{HazardMode, Trace};
 use nufft_common::error::{NufftError, Result};
-use nufft_common::smooth::FineSizing;
+use nufft_common::shape::Shape;
+use nufft_common::smooth::{fine_grid_size_with, FineSizing};
+use nufft_common::spec::Precision;
+use nufft_kernels::EsKernel;
 // Method and ModeOrder are part of a transform's semantic identity and
 // live in nufft-common (`TransformSpec` references them); re-exported
 // here so existing `cufinufft::opts::Method` imports keep working.
@@ -241,6 +244,70 @@ pub fn resolve_spread_method(
             }
         }
         m => Ok(m),
+    }
+}
+
+/// The geometry a plan configuration resolves to: the ES kernel for the
+/// tolerance at the tuning's sigma (Sec. II), the fine grid under the
+/// sizing policy, the Remark-1 bin size and the Remark-2 spreading
+/// method. Plan construction and the static verifier
+/// ([`PlanGeometry`](crate::access_plan::PlanGeometry)) both take it
+/// from [`Geometry::resolve`].
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub struct Geometry {
+    pub modes: Shape,
+    pub kernel: EsKernel,
+    pub fine: Shape,
+    /// Bin size for the sort and SM subproblems: the tuning's override
+    /// or the Remark-1 default (not clamped to the fine grid).
+    pub bin_size: [usize; 3],
+    /// Resolved spreading method (never `Auto`).
+    pub method: Method,
+}
+
+impl Geometry {
+    /// Resolve `modes` at tolerance `eps` in `precision`. The Remark-2
+    /// budget is `tuning.shared_mem_budget.min(shared_cap)`, with
+    /// `shared_cap` the device's shared memory per block. Fails on a bad
+    /// dimension or mode size, a tolerance or sigma outside the kernel
+    /// rule, and an explicit SM request that does not fit
+    /// (`MethodUnavailable`).
+    pub fn resolve(
+        modes: &[usize],
+        eps: f64,
+        precision: Precision,
+        method: Method,
+        sizing: FineSizing,
+        tuning: &Tuning,
+        shared_cap: usize,
+    ) -> Result<Geometry> {
+        if modes.is_empty() || modes.len() > 3 {
+            return Err(NufftError::BadDim(modes.len()));
+        }
+        if modes.contains(&0) {
+            return Err(NufftError::BadModes("zero-size mode dimension".into()));
+        }
+        let kernel = EsKernel::for_upsampfac(eps, tuning.upsampfac, precision == Precision::F64)?;
+        let modes = Shape::from_slice(modes);
+        let fine = modes.map(|_, n| fine_grid_size_with(n, tuning.upsampfac, kernel.w, sizing));
+        let bin_size = tuning
+            .bin_size
+            .unwrap_or_else(|| default_bin_size(modes.dim));
+        let method = resolve_spread_method(
+            method,
+            bin_size,
+            modes.dim,
+            kernel.w,
+            2 * precision.bytes(),
+            tuning.shared_mem_budget.min(shared_cap),
+        )?;
+        Ok(Geometry {
+            modes,
+            kernel,
+            fine,
+            bin_size,
+            method,
+        })
     }
 }
 

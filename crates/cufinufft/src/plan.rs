@@ -1,24 +1,35 @@
 //! The cuFINUFFT plan: "plan, setpts, execute, destroy" on the simulated
 //! GPU, mirroring `cufinufft_makeplan` / `cufinufft_setpts` /
 //! `cufinufft_execute` / `cufinufft_destroy` (destroy = `Drop`).
+//!
+//! As in the C library there is one execution path: [`Plan::execute`] is
+//! a batch of one through the chunk routine and device buffers that
+//! [`Plan::execute_many`] uses.
 
 use crate::bins::{build_subproblems, gpu_bin_sort, GpuBinSort, Subproblem};
 use crate::interp::interp_batch;
-use crate::opts::{default_bin_size, resolve_spread_method, GpuOpts, Method, ModeOrder, Tuning};
-use crate::recovery::{with_retry, RecoveryReport};
+use crate::opts::{Geometry, GpuOpts, Method, ModeOrder, Tuning};
+use crate::recovery::{ExecCtx, RecoveryReport};
 use crate::spread::{spread_batch, PtsRef, SpreadInputs};
-use gpu_sim::{Device, GpuBuffer, HazardMode, HazardReport, Lane, Precision, Trace, TraceReport};
+use gpu_sim::{
+    sync_streams, Device, DeviceFault, EngineState, GpuBuffer, HazardMode, HazardReport, Lane,
+    Precision, Stream, Trace, TraceReport,
+};
 use nufft_common::complex::Complex;
 use nufft_common::error::{NufftError, Result};
 use nufft_common::real::Real;
 use nufft_common::shape::{freq_to_bin, freqs, Shape};
-use nufft_common::smooth::{fine_grid_size_with, FineSizing};
+use nufft_common::smooth::FineSizing;
 use nufft_common::spec::{Precision as SpecPrecision, TransformSpec};
 use nufft_common::workload::Points;
 use nufft_common::TransformType;
 use nufft_fft::Direction;
 use nufft_kernels::deconv::correction_rows;
 use nufft_kernels::{EsKernel, EvalKernel};
+use nufft_trace::{ActiveGuard, Span};
+
+/// Outcome of one device stage: a typed fault, or done.
+type DevResult = std::result::Result<(), DeviceFault>;
 
 /// Lowercase metric tag for a (resolved) spread method, used to key the
 /// per-stage duration histograms (`stage.<stage>.<method>`).
@@ -37,10 +48,14 @@ fn method_tag(m: Method) -> &'static str {
 /// * "total" = exec + point preprocessing (sort, subproblem setup);
 /// * "total+mem" = total + allocation + all host-device transfers.
 ///
-/// Batched executions ([`Plan::execute_many`]) accumulate the per-vector
-/// stages over all transforms and additionally report the pipelined wall
-/// time of the data-movement + compute region (`pipe_wall`), which is
-/// shorter than the serial sum whenever transfers hid under compute.
+/// Executions accumulate the per-vector stages over all transforms of
+/// the batch (one for [`Plan::execute`]). A batch that ran in several
+/// chunks also reports the pipelined wall time of the data-movement +
+/// compute region (`pipe_wall`), which is shorter than the serial sum
+/// whenever transfers hid under compute.
+///
+/// `alloc` is the build's allocations, plus the current point set's,
+/// plus every execution-time allocation so far.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct GpuStageTimings {
     pub alloc: f64,
@@ -102,8 +117,8 @@ impl GpuStageTimings {
     }
 }
 
-/// Per-chunk detail of one [`Plan::execute_many`] call. Times are
-/// relative to the start of the pipelined region.
+/// Per-chunk detail of the most recent execution. Times are relative to
+/// the start of the pipelined region.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct ChunkTiming {
     /// Transforms in this chunk.
@@ -118,8 +133,8 @@ pub struct ChunkTiming {
     pub done: f64,
 }
 
-/// Batch-level report of the most recent [`Plan::execute_many`]:
-/// per-chunk schedules plus the serial-vs-pipelined totals.
+/// Batch-level report of the most recent execution: per-chunk schedules
+/// plus the serial-vs-pipelined totals.
 #[derive(Clone, Debug, Default)]
 pub struct BatchTimings {
     pub chunks: Vec<ChunkTiming>,
@@ -144,6 +159,8 @@ struct PtsState<T: Real> {
     sort: Option<GpuBinSort>,
     /// SM subproblem list (empty unless the SM method is active).
     subproblems: Vec<Subproblem>,
+    /// Simulated seconds the coordinate arrays took to allocate.
+    alloc: f64,
 }
 
 impl<T: Real> PtsState<T> {
@@ -167,35 +184,65 @@ impl<T: Real> PtsState<T> {
     }
 }
 
-/// A cuFINUFFT plan bound to a device.
-pub struct Plan<T: Real> {
+/// The plan's device staging: one input, one fine-grid and one output
+/// buffer, each holding one chunk of stacked vectors. A buffer grows
+/// when a chunk needs more room; only the OOM shrink loop releases them.
+struct Staging<T: Real> {
+    input: GpuBuffer<Complex<T>>,
+    grid: GpuBuffer<Complex<T>>,
+    output: GpuBuffer<Complex<T>>,
+}
+
+impl<T: Real> Staging<T> {
+    /// Grow every buffer shorter than its entry in `lens` (input, grid,
+    /// output): drop it first, then allocate the replacement, retrying
+    /// transient faults. A persistent OOM propagates as `DeviceOom`.
+    fn fit(&mut self, ctx: &mut ExecCtx, lens: [usize; 3]) -> Result<()> {
+        let dev = ctx.dev;
+        let slots = [
+            (&mut self.input, "in"),
+            (&mut self.grid, "fine_grid"),
+            (&mut self.output, "out"),
+        ];
+        for ((buf, name), len) in slots.into_iter().zip(lens) {
+            if buf.len() < len {
+                buf.release();
+                *buf = ctx.retry(&format!("alloc:{name}"), || dev.alloc(name, len))?;
+            }
+        }
+        Ok(())
+    }
+
+    fn release(&mut self) {
+        self.input.release();
+        self.grid.release();
+        self.output.release();
+    }
+}
+
+/// What a plan computes and the device resources it computes with;
+/// fixed at build.
+struct Core<T: Real> {
     ttype: TransformType,
-    modes: Shape,
-    fine: Shape,
+    geom: Geometry,
     iflag: i32,
-    kernel: EsKernel,
     /// Kernel evaluator the spread/interp hot paths run with: the exact
     /// ES kernel or its Horner/Chebyshev fast path, resolved once at
     /// plan time from `Tuning::kernel_eval` (see DESIGN.md §5l).
     eval_kernel: EvalKernel,
     opts: GpuOpts,
-    bin_size: [usize; 3],
-    /// Resolved spreading method for type 1.
-    spread_method: Method,
-    /// Declared batch width (builder hint); `execute_many` accepts any
-    /// width, but declaring it up front pre-sizes the batch grid.
-    ntransf: usize,
     dev: Device,
     fft: gpu_fft::GpuFftPlan<T>,
     corr: [Vec<f64>; 3],
-    d_grid: GpuBuffer<Complex<T>>,
-    d_in: GpuBuffer<Complex<T>>,
-    d_out: GpuBuffer<Complex<T>>,
-    /// Chunk-sized staging buffers for `execute_many`, allocated lazily
-    /// (or up front when the builder declares `ntransf > 1`).
-    d_in_batch: Option<GpuBuffer<Complex<T>>>,
-    d_grid_batch: Option<GpuBuffer<Complex<T>>>,
-    d_out_batch: Option<GpuBuffer<Complex<T>>>,
+}
+
+/// A cuFINUFFT plan bound to a device.
+pub struct Plan<T: Real> {
+    core: Core<T>,
+    bufs: Staging<T>,
+    /// Declared batch width (builder hint); `execute_many` accepts any
+    /// width, but declaring it up front pre-sizes the fine grid.
+    ntransf: usize,
     pts: Option<PtsState<T>>,
     timings: GpuStageTimings,
     batch: BatchTimings,
@@ -203,6 +250,10 @@ pub struct Plan<T: Real> {
     /// Sticky chunk-size override installed by OOM-driven shrinking, so
     /// later batches skip the doomed allocation sizes.
     shrunk_chunk: Option<usize>,
+    /// Allocation seconds charged by the build and by executions; the
+    /// point set's share lives in [`PtsState`].
+    setup_alloc: f64,
+    exec_alloc: f64,
 }
 
 /// Fluent constructor for [`Plan`]: transform type and mode dimensions
@@ -402,50 +453,122 @@ impl<T: Real> PlanBuilder<T> {
         self
     }
 
-    /// Validate the options and build the plan.
+    /// Validate the options and build the plan (cufinufft_makeplan):
+    /// resolve the [`Geometry`] (Sec. II kernel and fine grid, Sec. III /
+    /// Remark 2 method), apply the recovery policy's SM -> GM-sort
+    /// fallback, and allocate the fine grid, pre-sized for one chunk of
+    /// a declared `ntransf` batch so the first `execute_many` allocates
+    /// nothing in the pipeline.
     pub fn build(self, dev: &Device) -> Result<Plan<T>> {
-        self.opts.validate()?;
-        let mut plan = Plan::build_impl(
-            self.ttype,
-            &self.modes,
-            self.iflag,
-            self.eps,
-            self.opts,
-            dev,
-        )?;
-        plan.ntransf = self.ntransf;
-        if self.ntransf > 1 {
-            // pre-size the batched fine grid so the first execute_many
-            // pays no allocation inside the pipelined region
-            let chunk = plan.chunk_size(self.ntransf);
-            let policy = plan.opts.recovery;
-            let trace = plan.opts.trace.clone();
-            let nf = plan.fine.total();
-            let t0 = dev.clock();
-            let mut rec = std::mem::take(&mut plan.recovery);
-            let res = with_retry(
-                dev,
-                &policy,
-                trace.as_ref(),
-                &mut rec,
-                "alloc:fine_grid_batch",
-                || dev.alloc("fine_grid_batch", nf * chunk),
-            );
-            plan.recovery = rec;
-            match res {
-                Ok(buf) => plan.d_grid_batch = Some(buf),
-                // leave the batch grid unallocated: execute_many's
-                // shrink loop will find a chunk size that fits
-                Err(NufftError::DeviceOom { .. }) if policy.min_chunk > 0 => {
-                    plan.recovery
-                        .events
-                        .push("pre-size OOM: deferring batch grid to execute_many".into());
-                }
-                Err(e) => return Err(e),
-            }
-            plan.timings.alloc += dev.clock() - t0;
+        let (ttype, modes, eps, ntransf, opts) =
+            (self.ttype, &self.modes, self.eps, self.ntransf, self.opts);
+        opts.validate()?;
+        if let Some(t) = &opts.trace {
+            dev.attach_trace(t);
         }
-        Ok(plan)
+        dev.set_hazard_mode(opts.hazard);
+        let args = [
+            ("ttype", format!("{ttype:?}")),
+            ("dim", modes.len().to_string()),
+            ("eps", format!("{eps:e}")),
+        ];
+        let _scope = host_span(opts.trace.as_ref(), "plan.build", &args);
+        let mut recovery = RecoveryReport::default();
+        let resolve = |method| {
+            Geometry::resolve(
+                modes,
+                eps,
+                SpecPrecision::of::<T>(),
+                method,
+                opts.fine_sizing,
+                &opts.tuning,
+                dev.props().shared_mem_per_block,
+            )
+        };
+        let geom = match resolve(opts.method) {
+            Err(e @ NufftError::MethodUnavailable(_)) if opts.recovery.allow_method_fallback => {
+                // the policy prefers a working plan over the requested
+                // method: degrade to GM-sort, the method Auto would use
+                recovery.note_method_fallback(&e, opts.trace.as_ref());
+                resolve(Method::GmSort)?
+            }
+            res => res?,
+        };
+        let (kernel, modes, fine) = (geom.kernel, geom.modes, geom.fine);
+        let core = Core {
+            ttype,
+            geom,
+            iflag: if self.iflag >= 0 { 1 } else { -1 },
+            // under Auto, fit the Horner table and keep it iff the
+            // measured fit error spends at most 10% of the plan's error
+            // budget (exact-exp fallback otherwise)
+            eval_kernel: EvalKernel::select(kernel, eps, opts.tuning.kernel_eval),
+            corr: correction_rows(&kernel, modes, fine),
+            fft: gpu_fft::GpuFftPlan::new(fine),
+            opts,
+            dev: dev.clone(),
+        };
+        let mut ctx = ExecCtx::new(dev, &core.opts, &mut recovery);
+        let (bufs, setup_alloc) = dev.timed(|| -> Result<Staging<T>> {
+            let mut bufs = Staging {
+                grid: ctx.retry("alloc:fine_grid", || dev.alloc("fine_grid", fine.total()))?,
+                input: ctx.retry("alloc:in", || dev.alloc("in", 0))?,
+                output: ctx.retry("alloc:out", || dev.alloc("out", 0))?,
+            };
+            if ntransf > 1 {
+                let len = fine.total().saturating_mul(core.chunk_size(ntransf));
+                bufs.grid.release();
+                match ctx.retry("alloc:fine_grid_batch", || {
+                    dev.alloc("fine_grid_batch", len)
+                }) {
+                    Ok(grid) => bufs.grid = grid,
+                    // leave the grid empty: execution's shrink loop will
+                    // find a chunk size that fits
+                    Err(NufftError::DeviceOom { .. }) if ctx.policy.min_chunk > 0 => ctx
+                        .rec
+                        .events
+                        .push("pre-size OOM: deferring batch grid to execute_many".into()),
+                    Err(e) => return Err(e),
+                }
+            }
+            Ok(bufs)
+        });
+        Ok(Plan {
+            core,
+            bufs: bufs?,
+            ntransf,
+            pts: None,
+            timings: GpuStageTimings {
+                alloc: setup_alloc,
+                ..Default::default()
+            },
+            batch: BatchTimings::default(),
+            recovery,
+            shrunk_chunk: None,
+            setup_alloc,
+            exec_alloc: 0.0,
+        })
+    }
+}
+
+/// Activate `trace` (if any) and open the host span `name`; both close
+/// when the returned guards drop.
+fn host_span(
+    trace: Option<&Trace>,
+    name: &str,
+    args: &[(&str, String)],
+) -> Option<(Span, ActiveGuard)> {
+    trace.map(|t| {
+        let on = t.activate();
+        (t.span_with(name, args), on)
+    })
+}
+
+fn check_len(expected: usize, got: usize) -> Result<()> {
+    if expected == got {
+        Ok(())
+    } else {
+        Err(NufftError::LengthMismatch { expected, got })
     }
 }
 
@@ -462,193 +585,46 @@ impl<T: Real> Plan<T> {
         PlanBuilder::from_spec(spec)?.build(dev)
     }
 
-    /// Create a plan (cufinufft_makeplan). Fine-grid sizing, kernel
-    /// selection and correction factors follow Sec. II; the spreading
-    /// method is resolved per Sec. III / Remark 2.
-    fn build_impl(
-        ttype: TransformType,
-        modes: &[usize],
-        iflag: i32,
-        eps: f64,
-        opts: GpuOpts,
-        dev: &Device,
-    ) -> Result<Self> {
-        let trace = opts.trace.clone();
-        if let Some(t) = &trace {
-            dev.attach_trace(t);
-        }
-        dev.set_hazard_mode(opts.hazard);
-        let _on = trace.as_ref().map(|t| t.activate());
-        let _span = trace.as_ref().map(|t| {
-            t.span_with(
-                "plan.build",
-                &[
-                    ("ttype", format!("{ttype:?}")),
-                    ("dim", modes.len().to_string()),
-                    ("eps", format!("{eps:e}")),
-                ],
-            )
-        });
-        if modes.is_empty() || modes.len() > 3 {
-            return Err(NufftError::BadDim(modes.len()));
-        }
-        if modes.contains(&0) {
-            return Err(NufftError::BadModes("zero-size mode dimension".into()));
-        }
-        let kernel = if (opts.tuning.upsampfac - 2.0).abs() < 1e-12 {
-            EsKernel::for_tolerance(eps, T::IS_DOUBLE)?
-        } else {
-            EsKernel::for_tolerance_sigma(eps, opts.tuning.upsampfac, T::IS_DOUBLE)?
-        };
-        let modes = Shape::from_slice(modes);
-        let fine = modes
-            .map(|_, n| fine_grid_size_with(n, opts.tuning.upsampfac, kernel.w, opts.fine_sizing));
-        let bin_size = opts
-            .tuning
-            .bin_size
-            .unwrap_or_else(|| default_bin_size(modes.dim));
-        // Resolve the kernel evaluator once: under Auto, fit the Horner
-        // table and keep it iff the measured fit error spends at most 10%
-        // of the plan's error budget (exact-exp fallback otherwise).
-        let eval_kernel = EvalKernel::select(kernel, eps, opts.tuning.kernel_eval);
-        let cb = std::mem::size_of::<Complex<T>>();
-        let mut recovery = RecoveryReport::default();
-        let spread_method = match resolve_spread_method(
-            opts.method,
-            bin_size,
-            modes.dim,
-            kernel.w,
-            cb,
-            opts.tuning
-                .shared_mem_budget
-                .min(dev.props().shared_mem_per_block),
-        ) {
-            Ok(m) => m,
-            Err(e @ NufftError::MethodUnavailable(_)) if opts.recovery.allow_method_fallback => {
-                // the policy prefers a working plan over the requested
-                // method: degrade to GM-sort, the method Auto would use
-                recovery.method_fallbacks += 1;
-                recovery
-                    .events
-                    .push(format!("method fallback to GM-sort: {e}"));
-                if let Some(t) = &trace {
-                    t.counter("recovery.fallbacks").inc();
-                }
-                Method::GmSort
-            }
-            Err(e) => return Err(e),
-        };
-        let corr = correction_rows(&kernel, modes, fine);
-        let fft = gpu_fft::GpuFftPlan::new(fine);
-        let policy = opts.recovery;
-        let t0 = dev.clock();
-        let d_grid = with_retry(
-            dev,
-            &policy,
-            trace.as_ref(),
-            &mut recovery,
-            "alloc:fine_grid",
-            || dev.alloc("fine_grid", fine.total()),
-        )?;
-        let d_in = with_retry(
-            dev,
-            &policy,
-            trace.as_ref(),
-            &mut recovery,
-            "alloc:in",
-            || dev.alloc("in", 0),
-        )?;
-        let d_out = with_retry(
-            dev,
-            &policy,
-            trace.as_ref(),
-            &mut recovery,
-            "alloc:out",
-            || dev.alloc("out", 0),
-        )?;
-        let timings = GpuStageTimings {
-            alloc: dev.clock() - t0,
-            ..Default::default()
-        };
-        Ok(Plan {
-            ttype,
-            modes,
-            fine,
-            iflag: if iflag >= 0 { 1 } else { -1 },
-            kernel,
-            eval_kernel,
-            opts,
-            bin_size,
-            spread_method,
-            ntransf: 1,
-            dev: dev.clone(),
-            fft,
-            corr,
-            d_grid,
-            d_in,
-            d_out,
-            d_in_batch: None,
-            d_grid_batch: None,
-            d_out_batch: None,
-            pts: None,
-            timings,
-            batch: BatchTimings::default(),
-            recovery,
-            shrunk_chunk: None,
-        })
-    }
-
-    /// Transforms per pipelined chunk for a batch of `b`: the explicit
-    /// `max_batch` option if set, else roughly a quarter of the batch so
-    /// the two-stream pipeline has several chunks to overlap.
-    fn chunk_size(&self, b: usize) -> usize {
-        if self.opts.max_batch > 0 {
-            self.opts.max_batch.min(b).max(1)
-        } else {
-            b.div_ceil(4).max(1)
-        }
-    }
-
     pub fn modes(&self) -> Shape {
-        self.modes
+        self.core.geom.modes
     }
 
     /// Which transform this plan computes.
     pub fn transform_type(&self) -> TransformType {
-        self.ttype
+        self.core.ttype
     }
 
     pub fn fine_grid_shape(&self) -> Shape {
-        self.fine
+        self.core.geom.fine
     }
 
     pub fn kernel(&self) -> &EsKernel {
-        &self.kernel
+        &self.core.geom.kernel
     }
 
     /// The kernel evaluator the hot paths run with (exact vs the fitted
     /// Horner fast path; resolved at plan time from `Tuning::kernel_eval`).
     pub fn eval_kernel(&self) -> &EvalKernel {
-        &self.eval_kernel
+        &self.core.eval_kernel
     }
 
     /// The spreading method actually in use for type-1 transforms.
     pub fn spread_method(&self) -> Method {
-        self.spread_method
+        self.core.geom.method
     }
 
     pub fn device(&self) -> &Device {
-        &self.dev
+        &self.core.dev
     }
 
-    /// Per-stage simulated timings accumulated by the most recent
-    /// `set_pts` + `execute` pair.
+    /// Per-stage simulated timings of the current point set and the
+    /// most recent execution.
     pub fn timings(&self) -> GpuStageTimings {
         self.timings
     }
 
-    /// Per-chunk schedule of the most recent [`Plan::execute_many`]
-    /// (empty before the first batched execution).
+    /// Per-chunk schedule of the most recent execution (empty before the
+    /// first one).
     pub fn batch_timings(&self) -> &BatchTimings {
         &self.batch
     }
@@ -664,7 +640,7 @@ impl<T: Real> Plan<T> {
     /// was built without [`PlanBuilder::tracing`] /
     /// [`GpuOpts::with_tracing`].
     pub fn trace_report(&self) -> Option<TraceReport> {
-        self.opts.trace.as_ref().map(|t| t.report())
+        self.core.opts.trace.as_ref().map(|t| t.report())
     }
 
     /// What the recovery layer did over this plan's lifetime so far:
@@ -680,115 +656,76 @@ impl<T: Real> Plan<T> {
     /// with [`PlanBuilder::hazard`]`(HazardMode::Check)` /
     /// [`GpuOpts::with_hazard_checking`].
     pub fn hazard_findings(&self) -> HazardReport {
-        self.dev.hazard_findings()
-    }
-
-    /// Record a stage-level span (simulated clock, plan lane) covering
-    /// `start`..now, and feed the stage's duration into a per-method
-    /// histogram (`stage.spread.sm`, `stage.fft.gm_sort`, …) so the
-    /// trace report exposes per-stage quantiles split by spread method.
-    fn stage_span(&self, name: &str, start: f64) {
-        if let Some(t) = &self.opts.trace {
-            let method = method_tag(self.spread_method);
-            let dur = self.dev.clock() - start;
-            t.device_span(
-                Lane::Plan,
-                name,
-                "stage",
-                start,
-                dur,
-                &[("method", method.to_string())],
-            );
-            t.histogram(&format!("{name}.{method}")).observe(dur);
-        }
+        self.core.dev.hazard_findings()
     }
 
     pub fn num_points(&self) -> usize {
         self.pts.as_ref().map_or(0, |p| p.m)
     }
 
-    /// Register nonuniform points (cufinufft_setpts): transfer to the
-    /// device, bin-sort, and build SM subproblems if applicable.
-    pub fn set_pts(&mut self, pts: &Points<T>) -> Result<()> {
-        let mut rec = std::mem::take(&mut self.recovery);
-        let r = self.set_pts_impl(pts, &mut rec);
-        self.recovery = rec;
-        r
+    /// Recompute `timings.alloc` from its three parts.
+    fn sum_alloc(&mut self) {
+        let pts = self.pts.as_ref().map_or(0.0, |p| p.alloc);
+        self.timings.alloc = self.setup_alloc + pts + self.exec_alloc;
     }
 
-    fn set_pts_impl(&mut self, pts: &Points<T>, rec: &mut RecoveryReport) -> Result<()> {
-        if pts.dim != self.modes.dim {
+    /// Register nonuniform points (cufinufft_setpts): transfer to the
+    /// device, bin-sort, and build SM subproblems if applicable. The new
+    /// point set's transfer, sort and allocation times replace the
+    /// previous set's in [`Plan::timings`].
+    pub fn set_pts(&mut self, pts: &Points<T>) -> Result<()> {
+        let core = &self.core;
+        if pts.dim != core.geom.modes.dim {
             return Err(NufftError::BadDim(pts.dim));
         }
         let m = pts.len();
-        for i in 0..pts.dim {
-            if pts.coords[i].len() != m {
-                return Err(NufftError::LengthMismatch {
-                    expected: m,
-                    got: pts.coords[i].len(),
+        for coords in &pts.coords[..pts.dim] {
+            check_len(m, coords.len())?;
+            if let Some(j) = coords.iter().position(|v| !v.is_finite()) {
+                return Err(NufftError::BadPoint {
+                    index: j,
+                    value: coords[j].to_f64(),
                 });
             }
-            for (j, &v) in pts.coords[i].iter().enumerate() {
-                if !v.is_finite() {
-                    return Err(NufftError::BadPoint {
-                        index: j,
-                        value: v.to_f64(),
-                    });
-                }
-            }
         }
-        let trace = self.opts.trace.clone();
-        let _on = trace.as_ref().map(|t| t.activate());
-        let _span = trace.as_ref().map(|t| {
-            t.span_with(
-                "plan.setpts",
-                &[("m", m.to_string()), ("dim", pts.dim.to_string())],
-            )
-        });
-        let dev = self.dev.clone();
-        let policy = self.opts.recovery;
-        let t0 = self.dev.clock();
+        let args = [("m", m.to_string()), ("dim", pts.dim.to_string())];
+        let _scope = host_span(core.opts.trace.as_ref(), "plan.setpts", &args);
+        let dev = &core.dev;
+        let mut ctx = ExecCtx::new(dev, &core.opts, &mut self.recovery);
         let my = if pts.dim >= 2 { m } else { 0 };
         let mz = if pts.dim >= 3 { m } else { 0 };
-        let mut bufs = [
-            with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:pts_x", || {
-                dev.alloc("pts_x", m)
-            })?,
-            with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:pts_y", || {
-                dev.alloc("pts_y", my)
-            })?,
-            with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:pts_z", || {
-                dev.alloc("pts_z", mz)
-            })?,
-        ];
-        let t_alloc = self.dev.clock() - t0;
-        let t1 = self.dev.clock();
-        for (buf, coords) in bufs.iter_mut().zip(&pts.coords).take(pts.dim) {
-            with_retry(&dev, &policy, trace.as_ref(), rec, "h2d:pts", || {
-                dev.memcpy_htod(buf, coords)
-            })?;
-        }
-        let t_h2d = self.dev.clock() - t1;
-        let t2 = self.dev.clock();
+        let (bufs, t_alloc) = dev.timed(|| -> Result<[GpuBuffer<T>; 3]> {
+            Ok([
+                ctx.retry("alloc:pts_x", || dev.alloc("pts_x", m))?,
+                ctx.retry("alloc:pts_y", || dev.alloc("pts_y", my))?,
+                ctx.retry("alloc:pts_z", || dev.alloc("pts_z", mz))?,
+            ])
+        });
+        let mut bufs = bufs?;
+        let (res, t_h2d) = dev.timed(|| -> Result<()> {
+            for (buf, coords) in bufs.iter_mut().zip(&pts.coords).take(pts.dim) {
+                ctx.retry("h2d:pts", || dev.memcpy_htod(buf, coords))?;
+            }
+            Ok(())
+        });
+        res?;
         // GM works in user point order for both transform types; every
         // other method wants the bin sort
-        let needs_sort = self.spread_method != Method::Gm;
-        let sort = needs_sort.then(|| gpu_bin_sort(&self.dev, pts, self.fine, self.bin_size));
-        let subproblems = if self.ttype == TransformType::Type1 && self.spread_method == Method::Sm
-        {
-            build_subproblems(
-                &self.dev,
-                sort.as_ref().expect("SM requires sorting"),
-                self.opts.tuning.msub,
-            )
-        } else {
-            Vec::new()
-        };
-        let t_sort = self.dev.clock() - t2;
+        let start = dev.clock();
+        let ((sort, subproblems), t_sort) = dev.timed(|| {
+            let sort = (core.geom.method != Method::Gm)
+                .then(|| gpu_bin_sort(dev, pts, core.geom.fine, core.geom.bin_size));
+            let subproblems = match (&sort, core.ttype, core.geom.method) {
+                (Some(s), TransformType::Type1, Method::Sm) => {
+                    build_subproblems(dev, s, core.opts.tuning.msub)
+                }
+                _ => Vec::new(),
+            };
+            (sort, subproblems)
+        });
         if t_sort > 0.0 {
-            self.stage_span("stage.sort", t2);
+            core.stage_span("stage.sort", start, t_sort);
         }
-        self.timings.alloc += t_alloc;
         self.timings.h2d_pts = t_h2d;
         self.timings.sort = t_sort;
         self.pts = Some(PtsState {
@@ -797,295 +734,33 @@ impl<T: Real> Plan<T> {
             dim: pts.dim,
             sort,
             subproblems,
+            alloc: t_alloc,
         });
+        self.sum_alloc();
         Ok(())
     }
 
-    fn precision() -> Precision {
-        if T::IS_DOUBLE {
-            Precision::Double
-        } else {
-            Precision::Single
-        }
+    /// Per-transform input and output lengths for the registered points.
+    fn io_per(&self) -> Result<(usize, usize)> {
+        let m = self.pts.as_ref().ok_or(NufftError::PointsNotSet)?.m;
+        Ok(self.core.io_per(m))
     }
 
     /// Execute the transform (cufinufft_execute). Type 1: `input` = M
-    /// strengths, `output` = N modes; type 2 swaps the roles. Host-device
-    /// transfers of input/output are included and reported separately in
-    /// [`GpuStageTimings`].
+    /// strengths, `output` = N modes; type 2 swaps the roles. This is a
+    /// batch of one through the [`Plan::execute_many`] path; host-device
+    /// transfers of input/output are included and reported separately
+    /// in [`GpuStageTimings`].
     pub fn execute(&mut self, input: &[Complex<T>], output: &mut [Complex<T>]) -> Result<()> {
-        let mut rec = std::mem::take(&mut self.recovery);
-        let r = self.execute_impl(input, output, &mut rec);
-        self.recovery = rec;
-        r
-    }
-
-    fn execute_impl(
-        &mut self,
-        input: &[Complex<T>],
-        output: &mut [Complex<T>],
-        rec: &mut RecoveryReport,
-    ) -> Result<()> {
-        let state = self.pts.as_ref().ok_or(NufftError::PointsNotSet)?;
-        let m = state.m;
-        let n = self.modes.total();
-        let (want_in, want_out) = match self.ttype {
-            TransformType::Type1 => (m, n),
-            TransformType::Type2 => (n, m),
-        };
-        if input.len() != want_in {
-            return Err(NufftError::LengthMismatch {
-                expected: want_in,
-                got: input.len(),
-            });
-        }
-        if output.len() != want_out {
-            return Err(NufftError::LengthMismatch {
-                expected: want_out,
-                got: output.len(),
-            });
-        }
-        let trace = self.opts.trace.clone();
-        let _on = trace.as_ref().map(|t| t.activate());
-        let _span = trace.as_ref().map(|t| {
-            t.span_with(
-                "plan.execute",
-                &[
-                    ("ttype", format!("{:?}", self.ttype)),
-                    ("method", format!("{:?}", self.spread_method)),
-                ],
-            )
-        });
-        // (re)allocate IO buffers on first use or size change
-        let dev = self.dev.clone();
-        let policy = self.opts.recovery;
-        let t0 = self.dev.clock();
-        if self.d_in.len() != want_in {
-            self.d_in = with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:in", || {
-                dev.alloc("in", want_in)
-            })?;
-        }
-        if self.d_out.len() != want_out {
-            self.d_out = with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:out", || {
-                dev.alloc("out", want_out)
-            })?;
-        }
-        let alloc_extra = self.dev.clock() - t0;
-        self.timings.alloc += alloc_extra;
-        let t1 = self.dev.clock();
-        with_retry(&dev, &policy, trace.as_ref(), rec, "h2d:in", || {
-            self.dev.memcpy_htod(&mut self.d_in, input)
-        })?;
-        self.timings.h2d_data = self.dev.clock() - t1;
-
-        // the exec stages zero the fine grid before touching it, so a
-        // launch fault mid-transform can be retried wholesale
-        match self.ttype {
-            TransformType::Type1 => {
-                with_retry(&dev, &policy, trace.as_ref(), rec, "exec:type1", || {
-                    self.exec_type1()
-                })?
-            }
-            TransformType::Type2 => {
-                with_retry(&dev, &policy, trace.as_ref(), rec, "exec:type2", || {
-                    self.exec_type2()
-                })?
-            }
-        }
-
-        let t2 = self.dev.clock();
-        with_retry(&dev, &policy, trace.as_ref(), rec, "d2h:out", || {
-            self.dev.memcpy_dtoh(output, &self.d_out)
-        })?;
-        self.timings.d2h = self.dev.clock() - t2;
-        self.timings.batches = 1;
-        self.timings.pipe_wall = 0.0;
-        Ok(())
-    }
-
-    /// Execute `n_transf` stacked transforms sharing the same nonuniform
-    /// points (the C API's `ntransf` batching). `input` and `output` hold
-    /// the vectors concatenated; sorting is shared, and per-vector
-    /// spread/FFT/deconvolve stages accumulate into the timing report —
-    /// the amortization the paper's "exec" timing captures.
-    pub fn execute_batch(
-        &mut self,
-        input: &[Complex<T>],
-        output: &mut [Complex<T>],
-        n_transf: usize,
-    ) -> Result<()> {
-        if n_transf == 0 {
-            return Err(NufftError::BadOptions("n_transf must be positive".into()));
-        }
-        let state = self.pts.as_ref().ok_or(NufftError::PointsNotSet)?;
-        let m = state.m;
-        let n = self.modes.total();
-        let (in_per, out_per) = match self.ttype {
-            TransformType::Type1 => (m, n),
-            TransformType::Type2 => (n, m),
-        };
-        if input.len() != in_per * n_transf {
-            return Err(NufftError::LengthMismatch {
-                expected: in_per * n_transf,
-                got: input.len(),
-            });
-        }
-        if output.len() != out_per * n_transf {
-            return Err(NufftError::LengthMismatch {
-                expected: out_per * n_transf,
-                got: output.len(),
-            });
-        }
-        let mut acc = GpuStageTimings {
-            alloc: self.timings.alloc,
-            h2d_pts: self.timings.h2d_pts,
-            sort: self.timings.sort,
-            batches: n_transf,
-            ..Default::default()
-        };
-        for t in 0..n_transf {
-            self.execute(
-                &input[t * in_per..(t + 1) * in_per],
-                &mut output[t * out_per..(t + 1) * out_per],
-            )?;
-            let lt = self.timings;
-            acc.h2d_data += lt.h2d_data;
-            acc.spread_interp += lt.spread_interp;
-            acc.fft += lt.fft;
-            acc.deconv += lt.deconv;
-            acc.d2h += lt.d2h;
-        }
-        self.timings = acc;
-        Ok(())
-    }
-
-    /// Spread-only entry point (FINUFFT's `spreadinterponly` use case,
-    /// used by particle codes \[13\]\[14\]): spread the strengths onto the
-    /// plan's fine grid and return the grid contents, skipping the FFT
-    /// and deconvolution. The plan must be type 1.
-    pub fn spread_only(
-        &mut self,
-        strengths: &[Complex<T>],
-        grid_out: &mut [Complex<T>],
-    ) -> Result<()> {
-        let mut rec = std::mem::take(&mut self.recovery);
-        let r = self.spread_only_impl(strengths, grid_out, &mut rec);
-        self.recovery = rec;
-        r
-    }
-
-    fn spread_only_impl(
-        &mut self,
-        strengths: &[Complex<T>],
-        grid_out: &mut [Complex<T>],
-        rec: &mut RecoveryReport,
-    ) -> Result<()> {
-        if self.ttype != TransformType::Type1 {
-            return Err(NufftError::BadOptions(
-                "spread_only requires a type 1 plan".into(),
-            ));
-        }
-        let state = self.pts.as_ref().ok_or(NufftError::PointsNotSet)?;
-        if strengths.len() != state.m {
-            return Err(NufftError::LengthMismatch {
-                expected: state.m,
-                got: strengths.len(),
-            });
-        }
-        if grid_out.len() != self.fine.total() {
-            return Err(NufftError::LengthMismatch {
-                expected: self.fine.total(),
-                got: grid_out.len(),
-            });
-        }
-        let m = state.m;
-        let dev = self.dev.clone();
-        let policy = self.opts.recovery;
-        let trace = self.opts.trace.clone();
-        if self.d_in.len() != m {
-            self.d_in = with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:in", || {
-                dev.alloc("in", m)
-            })?;
-        }
-        with_retry(&dev, &policy, trace.as_ref(), rec, "h2d:in", || {
-            self.dev.memcpy_htod(&mut self.d_in, strengths)
-        })?;
-        let t0 = self.dev.clock();
-        let cb = std::mem::size_of::<Complex<T>>();
-        let nf = self.fine.total();
-        with_retry(&dev, &policy, trace.as_ref(), rec, "spread", || {
-            // re-zero inside the retry body so a launch fault can be
-            // retried without double-accumulating
-            self.d_grid
-                .as_mut_slice()
-                .iter_mut()
-                .for_each(|z| *z = Complex::ZERO);
-            self.dev
-                .bulk_op("memset_grid", 0, nf * cb, 0.0, Self::precision());
-            self.run_spread()
-        })?;
-        self.timings.spread_interp = self.dev.clock() - t0;
-        with_retry(&dev, &policy, trace.as_ref(), rec, "d2h:grid", || {
-            self.dev.memcpy_dtoh(grid_out, &self.d_grid)
-        })?;
-        Ok(())
-    }
-
-    /// Interpolation-only entry point: evaluate the given fine-grid data
-    /// at the plan's points, skipping pre-correction and the FFT. The
-    /// plan must be type 2.
-    pub fn interp_only(&mut self, grid_in: &[Complex<T>], out: &mut [Complex<T>]) -> Result<()> {
-        let mut rec = std::mem::take(&mut self.recovery);
-        let r = self.interp_only_impl(grid_in, out, &mut rec);
-        self.recovery = rec;
-        r
-    }
-
-    fn interp_only_impl(
-        &mut self,
-        grid_in: &[Complex<T>],
-        out: &mut [Complex<T>],
-        rec: &mut RecoveryReport,
-    ) -> Result<()> {
-        if self.ttype != TransformType::Type2 {
-            return Err(NufftError::BadOptions(
-                "interp_only requires a type 2 plan".into(),
-            ));
-        }
-        let state = self.pts.as_ref().ok_or(NufftError::PointsNotSet)?;
-        if grid_in.len() != self.fine.total() {
-            return Err(NufftError::LengthMismatch {
-                expected: self.fine.total(),
-                got: grid_in.len(),
-            });
-        }
-        if out.len() != state.m {
-            return Err(NufftError::LengthMismatch {
-                expected: state.m,
-                got: out.len(),
-            });
-        }
-        let m = state.m;
-        let dev = self.dev.clone();
-        let policy = self.opts.recovery;
-        let trace = self.opts.trace.clone();
-        with_retry(&dev, &policy, trace.as_ref(), rec, "h2d:grid", || {
-            self.dev.memcpy_htod(&mut self.d_grid, grid_in)
-        })?;
-        if self.d_out.len() != m {
-            self.d_out = with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:out", || {
-                dev.alloc("out", m)
-            })?;
-        }
-        let t0 = self.dev.clock();
-        with_retry(&dev, &policy, trace.as_ref(), rec, "interp", || {
-            self.run_interp()
-        })?;
-        self.timings.spread_interp = self.dev.clock() - t0;
-        with_retry(&dev, &policy, trace.as_ref(), rec, "d2h:out", || {
-            self.dev.memcpy_dtoh(out, &self.d_out)
-        })?;
-        Ok(())
+        let (in_per, out_per) = self.io_per()?;
+        check_len(in_per, input.len())?;
+        check_len(out_per, output.len())?;
+        let args = [
+            ("ttype", format!("{:?}", self.core.ttype)),
+            ("method", format!("{:?}", self.core.geom.method)),
+        ];
+        let _scope = host_span(self.core.opts.trace.as_ref(), "plan.execute", &args);
+        self.run(input, output, 1)
     }
 
     /// Execute `B` stacked transforms sharing the plan's points, with
@@ -1095,7 +770,7 @@ impl<T: Real> Plan<T> {
     /// This is the library's batching strategy (the C API's `ntransf`):
     /// the point sort and subproblem setup from `set_pts` are reused for
     /// every vector, spreading/interpolation run per vector into a
-    /// chunk-sized batch grid, the FFT runs batched (`cufftPlanMany`
+    /// chunk-sized fine grid, the FFT runs batched (`cufftPlanMany`
     /// style), and each chunk's H2D -> compute -> D2H chain is scheduled
     /// on one of two streams so the transfers of chunk `i+1` hide under
     /// the kernels of chunk `i`. Results are bitwise identical to `B`
@@ -1103,25 +778,7 @@ impl<T: Real> Plan<T> {
     /// accumulated stages plus the pipelined wall (`pipe_wall`), and
     /// [`Plan::batch_timings`] the per-chunk schedule.
     pub fn execute_many(&mut self, input: &[Complex<T>], output: &mut [Complex<T>]) -> Result<()> {
-        let mut rec = std::mem::take(&mut self.recovery);
-        let r = self.execute_many_impl(input, output, &mut rec);
-        self.recovery = rec;
-        r
-    }
-
-    fn execute_many_impl(
-        &mut self,
-        input: &[Complex<T>],
-        output: &mut [Complex<T>],
-        rec: &mut RecoveryReport,
-    ) -> Result<()> {
-        let state = self.pts.as_ref().ok_or(NufftError::PointsNotSet)?;
-        let m = state.m;
-        let n = self.modes.total();
-        let (in_per, out_per) = match self.ttype {
-            TransformType::Type1 => (m, n),
-            TransformType::Type2 => (n, m),
-        };
+        let (in_per, out_per) = self.io_per()?;
         if in_per == 0 {
             return Err(NufftError::BadOptions(
                 "execute_many cannot infer the batch size from empty transforms".into(),
@@ -1134,481 +791,409 @@ impl<T: Real> Plan<T> {
             });
         }
         let b = input.len() / in_per;
-        if output.len() != out_per * b {
-            return Err(NufftError::LengthMismatch {
-                expected: out_per * b,
-                got: output.len(),
-            });
-        }
-        let trace = self.opts.trace.clone();
-        let _on = trace.as_ref().map(|t| t.activate());
-        let _span = trace.as_ref().map(|t| {
-            t.span_with(
-                "plan.execute_many",
-                &[("b", b.to_string()), ("ttype", format!("{:?}", self.ttype))],
-            )
-        });
+        check_len(out_per.saturating_mul(b), output.len())?;
+        let args = [
+            ("b", b.to_string()),
+            ("ttype", format!("{:?}", self.core.ttype)),
+        ];
+        let _scope = host_span(self.core.opts.trace.as_ref(), "plan.execute_many", &args);
+        self.run(input, output, b)
+    }
 
-        // stage buffers sized for one chunk, (re)allocated outside the
-        // pipelined region so the schedule holds only transfers + compute.
-        // A device OOM here halves the chunk (dropping the failed
-        // buffers first) until it fits or `min_chunk` is reached; the
-        // shrunk size sticks for later batches.
-        let policy = self.opts.recovery;
-        let mut chunk = self.chunk_size(b);
+    /// The execution path: `b` transforms in chunks through the
+    /// two-stream pipeline. The staging buffers are fitted to the chunk
+    /// outside the pipelined region, so the schedule holds only
+    /// transfers and compute. A device OOM there halves the chunk
+    /// (releasing the buffers first) until it fits or `min_chunk` is
+    /// reached; the shrunk size sticks for later calls.
+    fn run(&mut self, input: &[Complex<T>], output: &mut [Complex<T>], b: usize) -> Result<()> {
+        let core = &self.core;
+        let dev = &core.dev;
+        let state = self.pts.as_ref().ok_or(NufftError::PointsNotSet)?;
+        let (in_per, out_per) = core.io_per(state.m);
+        let mut ctx = ExecCtx::new(dev, &core.opts, &mut self.recovery);
+        let mut chunk = core.chunk_size(b);
         if let Some(c) = self.shrunk_chunk {
             chunk = chunk.min(c).max(1);
         }
-        let nf = self.fine.total();
-        let t0 = self.dev.clock();
+        let min_chunk = ctx.policy.min_chunk;
         loop {
-            match self.alloc_staging(chunk, in_per, out_per, nf, rec) {
+            let lens = [in_per, core.geom.fine.total(), out_per].map(|n| n.saturating_mul(chunk));
+            let (res, t) = dev.timed(|| self.bufs.fit(&mut ctx, lens));
+            self.exec_alloc += t;
+            match res {
                 Ok(()) => break,
-                Err(NufftError::DeviceOom { .. })
-                    if policy.min_chunk > 0 && chunk > policy.min_chunk =>
-                {
-                    self.d_in_batch = None;
-                    self.d_grid_batch = None;
-                    self.d_out_batch = None;
-                    chunk = (chunk / 2).max(policy.min_chunk);
+                Err(NufftError::DeviceOom { .. }) if min_chunk > 0 && chunk > min_chunk => {
+                    self.bufs.release();
+                    chunk = (chunk / 2).max(min_chunk);
                     self.shrunk_chunk = Some(chunk);
-                    rec.chunk_shrinks += 1;
-                    rec.final_chunk = Some(chunk);
-                    rec.events
-                        .push(format!("device OOM: batch chunk shrunk to {chunk}"));
-                    if let Some(t) = &trace {
-                        t.counter("recovery.chunk_shrinks").inc();
-                    }
+                    ctx.note_chunk_shrink(chunk);
                 }
                 Err(e) => return Err(e),
             }
         }
-        let alloc_extra = self.dev.clock() - t0;
-        let mut bin = self.d_in_batch.take().expect("allocated above");
-        let mut bgrid = self.d_grid_batch.take().expect("allocated above");
-        let mut bout = self.d_out_batch.take().expect("allocated above");
-
-        let region = self.run_pipeline(
-            input, output, b, chunk, in_per, out_per, &mut bin, &mut bgrid, &mut bout, rec,
-        );
-        self.d_in_batch = Some(bin);
-        self.d_grid_batch = Some(bgrid);
-        self.d_out_batch = Some(bout);
-        let (wall, chunks, stage) = region?;
-
-        let serial: f64 = chunks.iter().map(|c| c.h2d + c.exec + c.d2h).sum();
+        let (wall, chunks, stage) =
+            core.run_pipeline(state, &mut self.bufs, &mut ctx, input, output, b, chunk)?;
+        let serial = chunks.iter().map(|c| c.h2d + c.exec + c.d2h).sum();
+        // a single chunk ran serially: its region costs the serial sum
+        let pipe_wall = if chunks.len() > 1 { wall } else { 0.0 };
         self.batch = BatchTimings {
             chunks,
             serial,
             wall,
         };
-        let prev = self.timings;
         self.timings = GpuStageTimings {
-            alloc: prev.alloc + alloc_extra,
-            h2d_pts: prev.h2d_pts,
-            sort: prev.sort,
-            h2d_data: stage.h2d_data,
-            spread_interp: stage.spread_interp,
-            fft: stage.fft,
-            deconv: stage.deconv,
-            d2h: stage.d2h,
+            h2d_pts: self.timings.h2d_pts,
+            sort: self.timings.sort,
             batches: b,
-            pipe_wall: wall,
+            pipe_wall,
+            ..stage
         };
+        self.sum_alloc();
         Ok(())
     }
 
-    /// (Re)allocate the chunk-sized staging buffers, retrying transient
-    /// alloc faults; a persistent OOM propagates as `DeviceOom` for the
-    /// caller's shrink loop.
-    fn alloc_staging(
+    /// Spread-only entry point (FINUFFT's `spreadinterponly` use case,
+    /// used by particle codes \[13\]\[14\]): spread the strengths onto the
+    /// plan's fine grid and return the grid contents, skipping the FFT
+    /// and deconvolution. The plan must be type 1.
+    pub fn spread_only(
         &mut self,
-        chunk: usize,
-        in_per: usize,
-        out_per: usize,
-        nf: usize,
-        rec: &mut RecoveryReport,
+        strengths: &[Complex<T>],
+        grid_out: &mut [Complex<T>],
     ) -> Result<()> {
-        let dev = self.dev.clone();
-        let policy = self.opts.recovery;
-        let trace = self.opts.trace.clone();
-        let undersized = |buf: &Option<GpuBuffer<Complex<T>>>, len: usize| {
-            buf.as_ref().is_none_or(|g| g.len() < len)
+        self.stage_only(TransformType::Type1, strengths, grid_out)
+    }
+
+    /// Interpolation-only entry point: evaluate the given fine-grid data
+    /// at the plan's points, skipping pre-correction and the FFT. The
+    /// plan must be type 2.
+    pub fn interp_only(&mut self, grid_in: &[Complex<T>], out: &mut [Complex<T>]) -> Result<()> {
+        self.stage_only(TransformType::Type2, grid_in, out)
+    }
+
+    /// The spread (type 1) or interp (type 2) stage alone, once, on the
+    /// plan's buffers: strengths -> grid, or grid -> values at the points.
+    fn stage_only(
+        &mut self,
+        want: TransformType,
+        src: &[Complex<T>],
+        dst: &mut [Complex<T>],
+    ) -> Result<()> {
+        let type1 = want == TransformType::Type1;
+        if self.core.ttype != want {
+            return Err(NufftError::BadOptions(if type1 {
+                "spread_only requires a type 1 plan".into()
+            } else {
+                "interp_only requires a type 2 plan".into()
+            }));
+        }
+        let state = self.pts.as_ref().ok_or(NufftError::PointsNotSet)?;
+        let (core, bufs) = (&self.core, &mut self.bufs);
+        let (m, nf) = (state.m, core.geom.fine.total());
+        let (src_len, dst_len, lens) = if type1 {
+            (m, nf, [m, nf, 0])
+        } else {
+            (nf, m, [0, nf, m])
         };
-        if undersized(&self.d_in_batch, in_per * chunk) {
-            self.d_in_batch = Some(with_retry(
-                &dev,
-                &policy,
-                trace.as_ref(),
-                rec,
-                "alloc:in_batch",
-                || dev.alloc("in_batch", in_per * chunk),
-            )?);
+        check_len(src_len, src.len())?;
+        check_len(dst_len, dst.len())?;
+        let dev = &core.dev;
+        let mut ctx = ExecCtx::new(dev, &core.opts, &mut self.recovery);
+        let (res, t_alloc) = dev.timed(|| bufs.fit(&mut ctx, lens));
+        self.exec_alloc += t_alloc;
+        res?;
+        let t = if type1 {
+            ctx.retry("h2d:in", || dev.memcpy_htod(&mut bufs.input, src))?;
+            let (res, t) = dev.timed(|| ctx.retry("spread", || core.spread(state, bufs, 1)));
+            res?;
+            ctx.retry("d2h:grid", || dev.memcpy_dtoh(dst, &bufs.grid))?;
+            t
+        } else {
+            ctx.retry("h2d:grid", || dev.memcpy_htod(&mut bufs.grid, src))?;
+            let (res, t) = dev.timed(|| ctx.retry("interp", || core.interp(state, bufs, 1)));
+            res?;
+            ctx.retry("d2h:out", || dev.memcpy_dtoh(dst, &bufs.output))?;
+            t
+        };
+        self.timings.spread_interp = t;
+        self.sum_alloc();
+        Ok(())
+    }
+}
+
+impl<T: Real> Core<T> {
+    /// Per-transform input and output lengths for `m` points.
+    fn io_per(&self, m: usize) -> (usize, usize) {
+        let n = self.geom.modes.total();
+        match self.ttype {
+            TransformType::Type1 => (m, n),
+            TransformType::Type2 => (n, m),
         }
-        if undersized(&self.d_grid_batch, nf * chunk) {
-            self.d_grid_batch = Some(with_retry(
-                &dev,
-                &policy,
-                trace.as_ref(),
-                rec,
-                "alloc:fine_grid_batch",
-                || dev.alloc("fine_grid_batch", nf * chunk),
-            )?);
+    }
+
+    /// Transforms per pipelined chunk for a batch of `b`: the explicit
+    /// `max_batch` option if set, else roughly a quarter of the batch so
+    /// the two-stream pipeline has several chunks to overlap.
+    fn chunk_size(&self, b: usize) -> usize {
+        if self.opts.max_batch > 0 {
+            self.opts.max_batch.min(b).max(1)
+        } else {
+            b.div_ceil(4).max(1)
         }
-        if undersized(&self.d_out_batch, out_per * chunk) {
-            self.d_out_batch = Some(with_retry(
-                &dev,
-                &policy,
-                trace.as_ref(),
-                rec,
-                "alloc:out_batch",
-                || dev.alloc("out_batch", out_per * chunk),
-            )?);
+    }
+
+    fn precision() -> Precision {
+        if T::IS_DOUBLE {
+            Precision::Double
+        } else {
+            Precision::Single
         }
+    }
+
+    /// Record a stage-level span (simulated clock, plan lane) of `dur`
+    /// seconds from `start`, and feed the duration into a per-method
+    /// histogram (`stage.spread.sm`, `stage.fft.gm_sort`, …) so the
+    /// trace report exposes per-stage quantiles split by spread method.
+    fn stage_span(&self, name: &str, start: f64, dur: f64) {
+        if let Some(t) = &self.opts.trace {
+            let method = method_tag(self.geom.method);
+            t.device_span(
+                Lane::Plan,
+                name,
+                "stage",
+                start,
+                dur,
+                &[("method", method.to_string())],
+            );
+            t.histogram(&format!("{name}.{method}")).observe(dur);
+        }
+    }
+
+    /// Run stage `name`; on success add its simulated time to `acc` and
+    /// record its span.
+    fn stage(&self, name: &str, acc: &mut f64, f: impl FnOnce() -> DevResult) -> DevResult {
+        let start = self.dev.clock();
+        let (res, dur) = self.dev.timed(f);
+        res?;
+        *acc += dur;
+        self.stage_span(name, start, dur);
         Ok(())
     }
 
-    /// The pipelined transfer/compute region of `execute_many`. Compute
+    /// The pipelined transfer/compute region of an execution. Compute
     /// is priced on the serial device clock (the SM array serializes
     /// across streams anyway) and its measured duration is queued on the
     /// chunk's stream; async copies are queued with their analytic
     /// duration without touching the clock. The final sync advances the
     /// clock to the schedule's end, so the region's clock delta IS the
-    /// pipelined wall. Chunk bodies re-zero their grid slice first, so a
-    /// launch fault retries the whole chunk without double-accumulation.
+    /// pipelined wall.
     #[allow(clippy::too_many_arguments)]
     fn run_pipeline(
         &self,
+        pts: &PtsState<T>,
+        bufs: &mut Staging<T>,
+        ctx: &mut ExecCtx,
         input: &[Complex<T>],
         output: &mut [Complex<T>],
         b: usize,
         chunk: usize,
-        in_per: usize,
-        out_per: usize,
-        bin: &mut GpuBuffer<Complex<T>>,
-        bgrid: &mut GpuBuffer<Complex<T>>,
-        bout: &mut GpuBuffer<Complex<T>>,
-        rec: &mut RecoveryReport,
     ) -> Result<(f64, Vec<ChunkTiming>, GpuStageTimings)> {
-        use gpu_sim::{sync_streams, EngineState, Stream};
-        let dev = self.dev.clone();
-        let policy = self.opts.recovery;
-        let trace = self.opts.trace.clone();
-        let base = self.dev.clock();
+        let (in_per, out_per) = self.io_per(pts.m);
+        let dev = &self.dev;
+        let base = dev.clock();
         let mut engines = EngineState::default();
-        let mut streams = [Stream::new(&self.dev), Stream::new(&self.dev)];
+        let mut streams = [Stream::new(dev), Stream::new(dev)];
         let mut chunks: Vec<ChunkTiming> = Vec::new();
         let mut stage = GpuStageTimings::default();
         let mut off = 0;
         while off < b {
             let bc = chunk.min(b - off);
+            let s = &mut streams[chunks.len() % 2];
             let src = &input[off * in_per..(off + bc) * in_per];
-            let h2d_dur = self.dev.transfer_time(std::mem::size_of_val(src));
-            let si = chunks.len() % 2;
-            let h2d_done = with_retry(&dev, &policy, trace.as_ref(), rec, "h2d:chunk", || {
-                streams[si].memcpy_htod(&self.dev, &mut engines, bin, src)
+            let h2d = dev.transfer_time(std::mem::size_of_val(src));
+            let h2d_done = ctx.retry("h2d:chunk", || {
+                s.memcpy_htod(dev, &mut engines, &mut bufs.input, src)
             })?;
-            let c0 = self.dev.clock();
-            with_retry(
-                &dev,
-                &policy,
-                trace.as_ref(),
-                rec,
-                "exec:chunk",
-                || match self.ttype {
-                    TransformType::Type1 => self.exec_type1_chunk(bc, bin, bgrid, bout, &mut stage),
-                    TransformType::Type2 => self.exec_type2_chunk(bc, bin, bgrid, bout, &mut stage),
-                },
-            )?;
-            let t_exec = self.dev.clock() - c0;
-            streams[si].compute(&mut engines, t_exec);
+            let (res, exec) = dev
+                .timed(|| ctx.retry("exec:chunk", || self.exec_chunk(pts, bufs, bc, &mut stage)));
+            res?;
+            s.compute(&mut engines, exec);
             let dst = &mut output[off * out_per..(off + bc) * out_per];
-            let d2h_dur = self.dev.transfer_time(std::mem::size_of_val(dst));
-            let d2h_done = with_retry(&dev, &policy, trace.as_ref(), rec, "d2h:chunk", || {
-                streams[si].memcpy_dtoh(&self.dev, &mut engines, dst, bout)
+            let d2h = dev.transfer_time(std::mem::size_of_val(dst));
+            let d2h_done = ctx.retry("d2h:chunk", || {
+                s.memcpy_dtoh(dev, &mut engines, dst, &bufs.output)
             })?;
             chunks.push(ChunkTiming {
                 ntransf: bc,
-                h2d: h2d_dur,
-                exec: t_exec,
-                d2h: d2h_dur,
-                start: (h2d_done - h2d_dur) - base,
+                h2d,
+                exec,
+                d2h,
+                start: (h2d_done - h2d) - base,
                 done: d2h_done - base,
             });
-            stage.h2d_data += h2d_dur;
-            stage.d2h += d2h_dur;
+            stage.h2d_data += h2d;
+            stage.d2h += d2h;
             off += bc;
         }
-        let wall = sync_streams(&self.dev, &[&streams[0], &streams[1]]) - base;
+        let wall = sync_streams(dev, &[&streams[0], &streams[1]]) - base;
         Ok((wall, chunks, stage))
     }
 
-    /// One chunk of a batched type-1 execution: zero the batch grid,
-    /// spread each vector into its own fine grid, run one batched FFT,
-    /// and deconvolve each vector. Per vector this performs exactly the
-    /// operations of [`Plan::execute`]'s type-1 path, so results are
-    /// bitwise identical.
-    fn exec_type1_chunk(
+    /// One chunk of `bc` transforms on the staged input (Sec. II). Type
+    /// 1 spreads each vector into its own fine grid, runs one batched
+    /// FFT and deconvolves each vector; type 2 pre-corrects, transforms
+    /// and interpolates. Each chunk starts by zeroing its grids, so a
+    /// launch fault retries the whole chunk without double accumulation.
+    fn exec_chunk(
         &self,
+        pts: &PtsState<T>,
+        bufs: &mut Staging<T>,
         bc: usize,
-        d_in: &GpuBuffer<Complex<T>>,
-        d_grid: &mut GpuBuffer<Complex<T>>,
-        d_out: &mut GpuBuffer<Complex<T>>,
         stage: &mut GpuStageTimings,
-    ) -> std::result::Result<(), gpu_sim::DeviceFault> {
-        let state = self.pts.as_ref().expect("points checked");
-        let cb = std::mem::size_of::<Complex<T>>();
-        let nf = self.fine.total();
-        let m = state.m;
-        let n = self.modes.total();
-        let t0 = self.dev.clock();
-        d_grid.as_mut_slice()[..bc * nf]
-            .iter_mut()
-            .for_each(|z| *z = Complex::ZERO);
+    ) -> DevResult {
+        match self.ttype {
+            TransformType::Type1 => {
+                self.stage("stage.spread", &mut stage.spread_interp, || {
+                    self.spread(pts, bufs, bc)
+                })?;
+                self.stage("stage.fft", &mut stage.fft, || {
+                    self.fft(bufs, bc);
+                    Ok(())
+                })?;
+                self.stage("stage.deconv", &mut stage.deconv, || {
+                    self.deconvolve(bufs, bc);
+                    Ok(())
+                })
+            }
+            TransformType::Type2 => {
+                self.stage("stage.deconv", &mut stage.deconv, || {
+                    self.precorrect(bufs, bc);
+                    Ok(())
+                })?;
+                self.stage("stage.fft", &mut stage.fft, || {
+                    self.fft(bufs, bc);
+                    Ok(())
+                })?;
+                self.stage("stage.interp", &mut stage.spread_interp, || {
+                    self.interp(pts, bufs, bc)
+                })
+            }
+        }
+    }
+
+    /// Transform the first `bc` fine grids in one batched launch.
+    fn fft(&self, bufs: &mut Staging<T>, bc: usize) {
+        let dir = Direction::from_sign(self.iflag);
+        self.fft.execute_many(&self.dev, &mut bufs.grid, bc, dir);
+    }
+
+    /// Zero the first `bc` fine grids.
+    fn zero_grids(&self, grid: &mut GpuBuffer<Complex<T>>, bc: usize) {
+        let len = bc * self.geom.fine.total();
+        grid.as_mut_slice()[..len].fill(Complex::ZERO);
+        let bytes = len * std::mem::size_of::<Complex<T>>();
         self.dev
-            .bulk_op("memset_grid_batch", 0, bc * nf * cb, 0.0, Self::precision());
+            .bulk_op("memset_grid_batch", 0, bytes, 0.0, Self::precision());
+    }
+
+    /// Zero the first `bc` fine grids and spread the first `bc` staged
+    /// strength vectors into them with the configured method.
+    fn spread(&self, pts: &PtsState<T>, bufs: &mut Staging<T>, bc: usize) -> DevResult {
+        self.zero_grids(&mut bufs.grid, bc);
         spread_batch(
             &self.dev,
             &self.eval_kernel,
-            self.fine,
-            self.spread_method,
+            self.geom.fine,
+            self.geom.method,
             self.opts.tuning.threads_per_block,
-            &state.inputs(),
+            &pts.inputs(),
             bc,
-            &d_in.as_slice()[..bc * m],
-            &mut d_grid.as_mut_slice()[..bc * nf],
-        )?;
-        stage.spread_interp += self.dev.clock() - t0;
-        self.stage_span("stage.spread", t0);
-        let t1 = self.dev.clock();
-        self.fft
-            .execute_many(&self.dev, d_grid, bc, Direction::from_sign(self.iflag));
-        stage.fft += self.dev.clock() - t1;
-        self.stage_span("stage.fft", t1);
-        let t2 = self.dev.clock();
-        for v in 0..bc {
-            deconv_type1(
-                &self.corr,
-                self.modes,
-                self.fine,
-                self.opts.modeord,
-                &d_grid.as_slice()[v * nf..(v + 1) * nf],
-                &mut d_out.as_mut_slice()[v * n..(v + 1) * n],
-            );
-        }
-        self.dev.bulk_op(
-            "deconvolve_batch",
-            bc * n * cb,
-            bc * n * cb,
-            (bc * n) as f64 * 8.0,
-            Self::precision(),
-        );
-        stage.deconv += self.dev.clock() - t2;
-        self.stage_span("stage.deconv", t2);
-        Ok(())
+            &bufs.input.as_slice()[..bc * pts.m],
+            &mut bufs.grid.as_mut_slice()[..bc * self.geom.fine.total()],
+        )
     }
 
-    /// One chunk of a batched type-2 execution; see
-    /// [`Plan::exec_type1_chunk`].
-    fn exec_type2_chunk(
-        &self,
-        bc: usize,
-        d_in: &GpuBuffer<Complex<T>>,
-        d_grid: &mut GpuBuffer<Complex<T>>,
-        d_out: &mut GpuBuffer<Complex<T>>,
-        stage: &mut GpuStageTimings,
-    ) -> std::result::Result<(), gpu_sim::DeviceFault> {
-        let state = self.pts.as_ref().expect("points checked");
-        let cb = std::mem::size_of::<Complex<T>>();
-        let nf = self.fine.total();
-        let m = state.m;
-        let n = self.modes.total();
-        let t0 = self.dev.clock();
-        d_grid.as_mut_slice()[..bc * nf]
-            .iter_mut()
-            .for_each(|z| *z = Complex::ZERO);
+    /// Interpolate the first `bc` fine grids at the points into the
+    /// first `bc` staged output vectors.
+    fn interp(&self, pts: &PtsState<T>, bufs: &mut Staging<T>, bc: usize) -> DevResult {
+        interp_batch(
+            &self.dev,
+            &self.eval_kernel,
+            self.geom.fine,
+            self.geom.method,
+            self.opts.tuning.threads_per_block,
+            &pts.inputs(),
+            bc,
+            &bufs.grid.as_slice()[..bc * self.geom.fine.total()],
+            &mut bufs.output.as_mut_slice()[..bc * pts.m],
+        )
+    }
+
+    /// Type 1 step 3 for `bc` vectors: deconvolve and truncate each fine
+    /// grid into its output modes.
+    fn deconvolve(&self, bufs: &mut Staging<T>, bc: usize) {
+        let (nf, n) = (self.geom.fine.total(), self.geom.modes.total());
+        for v in 0..bc {
+            let grid = &bufs.grid.as_slice()[v * nf..(v + 1) * nf];
+            let out = &mut bufs.output.as_mut_slice()[v * n..(v + 1) * n];
+            self.for_each_mode(|g, k, p| out[k] = grid[g].scale(T::from_f64(p)));
+        }
+        self.mode_pass("deconvolve_batch", bc * n);
+    }
+
+    /// Type 2 step 1 for `bc` vectors: zero the fine grids, then
+    /// pre-correct and zero-pad each input into its grid.
+    fn precorrect(&self, bufs: &mut Staging<T>, bc: usize) {
+        let (nf, n) = (self.geom.fine.total(), self.geom.modes.total());
+        self.zero_grids(&mut bufs.grid, bc);
+        for v in 0..bc {
+            let input = &bufs.input.as_slice()[v * n..(v + 1) * n];
+            let grid = &mut bufs.grid.as_mut_slice()[v * nf..(v + 1) * nf];
+            self.for_each_mode(|g, k, p| grid[g] = input[k].scale(T::from_f64(p)));
+        }
+        self.mode_pass("precorrect_batch", bc * n);
+    }
+
+    /// Visit every mode with its fine-grid index, its index in the
+    /// caller's array under the plan's mode ordering, and its
+    /// correction factor (host-functional).
+    fn for_each_mode(&self, mut f: impl FnMut(usize, usize, f64)) {
+        let (modes, fine, corr) = (self.geom.modes, self.geom.fine, &self.corr);
+        let k1s: Vec<(usize, f64)> = freqs(modes.n[0])
+            .enumerate()
+            .map(|(j, k)| (freq_to_bin(k, fine.n[0]), corr[0][j]))
+            .collect();
+        for (j3, k3) in freqs(modes.n[2]).enumerate() {
+            let b3 = freq_to_bin(k3, fine.n[2]) * fine.n[0] * fine.n[1];
+            let p3 = corr[2][j3];
+            for (j2, k2) in freqs(modes.n[1]).enumerate() {
+                let b2 = b3 + freq_to_bin(k2, fine.n[1]) * fine.n[0];
+                let p23 = p3 * corr[1][j2];
+                for (j1, (b1, p1)) in k1s.iter().enumerate() {
+                    let k = mode_index(modes, self.opts.modeord, j1, j2, j3);
+                    f(b2 + b1, k, p1 * p23);
+                }
+            }
+        }
+    }
+
+    /// Price one read + write pass over `modes` complex values at 8
+    /// flops each.
+    fn mode_pass(&self, name: &str, modes: usize) {
+        let bytes = modes * std::mem::size_of::<Complex<T>>();
         self.dev
-            .bulk_op("memset_grid_batch", 0, bc * nf * cb, 0.0, Self::precision());
-        for v in 0..bc {
-            deconv_type2(
-                &self.corr,
-                self.modes,
-                self.fine,
-                self.opts.modeord,
-                &d_in.as_slice()[v * n..(v + 1) * n],
-                &mut d_grid.as_mut_slice()[v * nf..(v + 1) * nf],
-            );
-        }
-        self.dev.bulk_op(
-            "precorrect_batch",
-            bc * n * cb,
-            bc * n * cb,
-            (bc * n) as f64 * 8.0,
-            Self::precision(),
-        );
-        stage.deconv += self.dev.clock() - t0;
-        self.stage_span("stage.deconv", t0);
-        let t1 = self.dev.clock();
-        self.fft
-            .execute_many(&self.dev, d_grid, bc, Direction::from_sign(self.iflag));
-        stage.fft += self.dev.clock() - t1;
-        self.stage_span("stage.fft", t1);
-        let t2 = self.dev.clock();
-        interp_batch(
-            &self.dev,
-            &self.eval_kernel,
-            self.fine,
-            self.spread_method,
-            self.opts.tuning.threads_per_block,
-            &state.inputs(),
-            bc,
-            &d_grid.as_slice()[..bc * nf],
-            &mut d_out.as_mut_slice()[..bc * m],
-        )?;
-        stage.spread_interp += self.dev.clock() - t2;
-        self.stage_span("stage.interp", t2);
-        Ok(())
-    }
-
-    /// Dispatch the configured spreading method from `d_in` into
-    /// `d_grid` (the grid must already be zeroed and priced).
-    fn run_spread(&mut self) -> std::result::Result<(), gpu_sim::DeviceFault> {
-        let state = self.pts.as_ref().expect("points checked");
-        spread_batch(
-            &self.dev,
-            &self.eval_kernel,
-            self.fine,
-            self.spread_method,
-            self.opts.tuning.threads_per_block,
-            &state.inputs(),
-            1,
-            self.d_in.as_slice(),
-            self.d_grid.as_mut_slice(),
-        )
-    }
-
-    fn exec_type1(&mut self) -> std::result::Result<(), gpu_sim::DeviceFault> {
-        // memset the fine grid
-        let cb = std::mem::size_of::<Complex<T>>();
-        let t0 = self.dev.clock();
-        self.d_grid
-            .as_mut_slice()
-            .iter_mut()
-            .for_each(|z| *z = Complex::ZERO);
-        self.dev.bulk_op(
-            "memset_grid",
-            0,
-            self.fine.total() * cb,
-            0.0,
-            Self::precision(),
-        );
-        self.run_spread()?;
-        self.timings.spread_interp = self.dev.clock() - t0;
-        self.stage_span("stage.spread", t0);
-        // FFT
-        let t1 = self.dev.clock();
-        self.fft.execute(
-            &self.dev,
-            &mut self.d_grid,
-            Direction::from_sign(self.iflag),
-        );
-        self.timings.fft = self.dev.clock() - t1;
-        self.stage_span("stage.fft", t1);
-        // deconvolve + truncate
-        let t2 = self.dev.clock();
-        deconv_type1(
-            &self.corr,
-            self.modes,
-            self.fine,
-            self.opts.modeord,
-            self.d_grid.as_slice(),
-            self.d_out.as_mut_slice(),
-        );
-        self.dev.bulk_op(
-            "deconvolve",
-            self.modes.total() * cb,
-            self.modes.total() * cb,
-            self.modes.total() as f64 * 8.0,
-            Self::precision(),
-        );
-        self.timings.deconv = self.dev.clock() - t2;
-        self.stage_span("stage.deconv", t2);
-        Ok(())
-    }
-
-    fn exec_type2(&mut self) -> std::result::Result<(), gpu_sim::DeviceFault> {
-        let cb = std::mem::size_of::<Complex<T>>();
-        // pre-correct + zero-pad
-        let t0 = self.dev.clock();
-        self.d_grid
-            .as_mut_slice()
-            .iter_mut()
-            .for_each(|z| *z = Complex::ZERO);
-        self.dev.bulk_op(
-            "memset_grid",
-            0,
-            self.fine.total() * cb,
-            0.0,
-            Self::precision(),
-        );
-        deconv_type2(
-            &self.corr,
-            self.modes,
-            self.fine,
-            self.opts.modeord,
-            self.d_in.as_slice(),
-            self.d_grid.as_mut_slice(),
-        );
-        self.dev.bulk_op(
-            "precorrect",
-            self.modes.total() * cb,
-            self.modes.total() * cb,
-            self.modes.total() as f64 * 8.0,
-            Self::precision(),
-        );
-        self.timings.deconv = self.dev.clock() - t0;
-        self.stage_span("stage.deconv", t0);
-        // FFT
-        let t1 = self.dev.clock();
-        self.fft.execute(
-            &self.dev,
-            &mut self.d_grid,
-            Direction::from_sign(self.iflag),
-        );
-        self.timings.fft = self.dev.clock() - t1;
-        self.stage_span("stage.fft", t1);
-        // interpolate
-        let t2 = self.dev.clock();
-        self.run_interp()?;
-        self.timings.spread_interp = self.dev.clock() - t2;
-        self.stage_span("stage.interp", t2);
-        Ok(())
-    }
-
-    /// Dispatch interpolation from `d_grid` into `d_out`.
-    fn run_interp(&mut self) -> std::result::Result<(), gpu_sim::DeviceFault> {
-        let state = self.pts.as_ref().expect("points checked");
-        interp_batch(
-            &self.dev,
-            &self.eval_kernel,
-            self.fine,
-            self.spread_method,
-            self.opts.tuning.threads_per_block,
-            &state.inputs(),
-            1,
-            self.d_grid.as_slice(),
-            self.d_out.as_mut_slice(),
-        )
+            .bulk_op(name, bytes, bytes, modes as f64 * 8.0, Self::precision());
     }
 }
 
 impl<T: Real> nufft_common::NufftPlan<T> for Plan<T> {
     fn transform_type(&self) -> TransformType {
-        self.ttype
+        self.core.ttype
     }
 
     fn modes(&self) -> Shape {
-        self.modes
+        self.core.geom.modes
     }
 
     fn num_points(&self) -> usize {
@@ -1650,60 +1235,6 @@ fn mode_index(modes: Shape, modeord: ModeOrder, j1: usize, j2: usize, j3: usize)
             // j enumerates k = -N/2 + j; FFT order stores k at k mod N
             let f = |j: usize, n: usize| (j + n - n / 2) % n;
             f(j1, modes.n[0]) + modes.n[0] * (f(j2, modes.n[1]) + modes.n[1] * f(j3, modes.n[2]))
-        }
-    }
-}
-
-/// Type 1 step 3 on device data (host-functional).
-fn deconv_type1<T: Real>(
-    corr: &[Vec<f64>; 3],
-    modes: Shape,
-    fine: Shape,
-    modeord: ModeOrder,
-    grid: &[Complex<T>],
-    out: &mut [Complex<T>],
-) {
-    let k1s: Vec<(usize, f64)> = freqs(modes.n[0])
-        .enumerate()
-        .map(|(j, k)| (freq_to_bin(k, fine.n[0]), corr[0][j]))
-        .collect();
-    for (j3, k3) in freqs(modes.n[2]).enumerate() {
-        let b3 = freq_to_bin(k3, fine.n[2]) * fine.n[0] * fine.n[1];
-        let p3 = corr[2][j3];
-        for (j2, k2) in freqs(modes.n[1]).enumerate() {
-            let b2 = b3 + freq_to_bin(k2, fine.n[1]) * fine.n[0];
-            let p23 = p3 * corr[1][j2];
-            for (j1, (b1, p1)) in k1s.iter().enumerate() {
-                out[mode_index(modes, modeord, j1, j2, j3)] =
-                    grid[b2 + b1].scale(T::from_f64(p1 * p23));
-            }
-        }
-    }
-}
-
-/// Type 2 step 1 on device data (host-functional). `grid` must be zeroed.
-fn deconv_type2<T: Real>(
-    corr: &[Vec<f64>; 3],
-    modes: Shape,
-    fine: Shape,
-    modeord: ModeOrder,
-    input: &[Complex<T>],
-    grid: &mut [Complex<T>],
-) {
-    let k1s: Vec<(usize, f64)> = freqs(modes.n[0])
-        .enumerate()
-        .map(|(j, k)| (freq_to_bin(k, fine.n[0]), corr[0][j]))
-        .collect();
-    for (j3, k3) in freqs(modes.n[2]).enumerate() {
-        let b3 = freq_to_bin(k3, fine.n[2]) * fine.n[0] * fine.n[1];
-        let p3 = corr[2][j3];
-        for (j2, k2) in freqs(modes.n[1]).enumerate() {
-            let b2 = b3 + freq_to_bin(k2, fine.n[1]) * fine.n[0];
-            let p23 = p3 * corr[1][j2];
-            for (j1, (b1, p1)) in k1s.iter().enumerate() {
-                grid[b2 + b1] =
-                    input[mode_index(modes, modeord, j1, j2, j3)].scale(T::from_f64(p1 * p23));
-            }
         }
     }
 }

@@ -5,14 +5,14 @@
 //! actually produces: transient transfer or launch glitches, memory
 //! pressure from co-tenant plans, and configurations where the SM
 //! spreader does not fit. The [`RecoveryPolicy`] on
-//! [`GpuOpts`](crate::GpuOpts) drives three behaviors in the plan
+//! [`GpuOpts`] drives three behaviors in the plan
 //! pipeline:
 //!
 //! 1. **Method fallback** — an explicit [`Method::Sm`](crate::Method)
 //!    request that exceeds the shared-memory budget falls back to
 //!    GM-sort (what `Auto` would have picked) instead of erroring, when
 //!    `allow_method_fallback` is set.
-//! 2. **Chunk shrinking** — `execute_many` responds to a device OOM in
+//! 2. **Chunk shrinking** — execution responds to a device OOM in
 //!    its staging allocations by halving the batch chunk (down to
 //!    `min_chunk`) and re-planning the buffers, so a batch that fits
 //!    memory at B=1 always completes.
@@ -23,11 +23,12 @@
 //! session (`recovery.*` counters) and accumulated in the
 //! [`RecoveryReport`] returned by `Plan::recovery_report()`.
 
+use crate::opts::GpuOpts;
 use gpu_sim::{Device, DeviceFault, FaultKind, Trace};
 use nufft_common::error::{NufftError, Result};
 
 /// Knobs for the plan pipeline's fault recovery; set via
-/// [`GpuOpts::recovery`](crate::GpuOpts) or `PlanBuilder::recovery`.
+/// [`GpuOpts::recovery`] or `PlanBuilder::recovery`.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct RecoveryPolicy {
     /// Retries per transient device fault before giving up (0 = fail on
@@ -109,6 +110,16 @@ impl RecoveryReport {
     pub fn is_clean(&self) -> bool {
         self == &RecoveryReport::default()
     }
+
+    /// Record an infeasible SM request (`why`) downgraded to GM-sort.
+    pub(crate) fn note_method_fallback(&mut self, why: &NufftError, trace: Option<&Trace>) {
+        self.method_fallbacks += 1;
+        self.events
+            .push(format!("method fallback to GM-sort: {why}"));
+        if let Some(t) = trace {
+            t.counter("recovery.fallbacks").inc();
+        }
+    }
 }
 
 /// Map an unrecovered device fault to the library error space: OOM
@@ -131,55 +142,88 @@ pub(crate) fn fault_error(f: &DeviceFault, attempts: u32) -> NufftError {
     }
 }
 
-/// Run `f`, retrying transient device faults up to `policy.max_retries`
-/// times with linear backoff in simulated time. Persistent faults and
-/// exhausted retries surface as typed errors; outcomes are recorded in
-/// `rec` and the `recovery.*` trace counters.
-pub(crate) fn with_retry<R>(
-    dev: &Device,
-    policy: &RecoveryPolicy,
-    trace: Option<&Trace>,
-    rec: &mut RecoveryReport,
-    what: &str,
-    mut f: impl FnMut() -> std::result::Result<R, DeviceFault>,
-) -> Result<R> {
-    let mut attempt: u32 = 0;
-    loop {
-        match f() {
-            Ok(r) => {
-                if attempt > 0 {
-                    rec.recovered += 1;
-                    rec.events
-                        .push(format!("recovered '{what}' after {attempt} retry(s)"));
-                    if let Some(t) = trace {
-                        t.counter("recovery.recovered").inc();
+/// The retry context of one public plan call: the device, policy and
+/// trace every retried operation of the call shares, and the plan's
+/// report they record into.
+pub(crate) struct ExecCtx<'a> {
+    pub dev: &'a Device,
+    pub policy: RecoveryPolicy,
+    pub trace: Option<&'a Trace>,
+    pub rec: &'a mut RecoveryReport,
+}
+
+impl<'a> ExecCtx<'a> {
+    pub fn new(dev: &'a Device, opts: &'a GpuOpts, rec: &'a mut RecoveryReport) -> Self {
+        ExecCtx {
+            dev,
+            policy: opts.recovery,
+            trace: opts.trace.as_ref(),
+            rec,
+        }
+    }
+
+    /// Record an OOM-driven shrink of the batch chunk to `chunk`.
+    pub fn note_chunk_shrink(&mut self, chunk: usize) {
+        self.rec.chunk_shrinks += 1;
+        self.rec.final_chunk = Some(chunk);
+        self.rec
+            .events
+            .push(format!("device OOM: batch chunk shrunk to {chunk}"));
+        if let Some(t) = self.trace {
+            t.counter("recovery.chunk_shrinks").inc();
+        }
+    }
+
+    /// Run `f`, retrying transient device faults up to
+    /// `policy.max_retries` times with linear backoff in simulated time.
+    /// Persistent faults and exhausted retries surface as typed errors;
+    /// outcomes are recorded in the report and the `recovery.*` trace
+    /// counters.
+    pub fn retry<R>(
+        &mut self,
+        what: &str,
+        mut f: impl FnMut() -> std::result::Result<R, DeviceFault>,
+    ) -> Result<R> {
+        let (rec, trace) = (&mut *self.rec, self.trace);
+        let mut attempt: u32 = 0;
+        loop {
+            match f() {
+                Ok(r) => {
+                    if attempt > 0 {
+                        rec.recovered += 1;
+                        rec.events
+                            .push(format!("recovered '{what}' after {attempt} retry(s)"));
+                        if let Some(t) = trace {
+                            t.counter("recovery.recovered").inc();
+                        }
                     }
+                    return Ok(r);
                 }
-                return Ok(r);
-            }
-            Err(fault) => {
-                if !fault.transient || attempt >= policy.max_retries {
-                    rec.unrecovered += 1;
+                Err(fault) => {
+                    if !fault.transient || attempt >= self.policy.max_retries {
+                        rec.unrecovered += 1;
+                        rec.events.push(format!(
+                            "gave up on '{what}' after {} attempt(s): {fault}",
+                            attempt + 1
+                        ));
+                        if let Some(t) = trace {
+                            t.counter("recovery.unrecovered").inc();
+                        }
+                        return Err(fault_error(&fault, attempt + 1));
+                    }
+                    attempt += 1;
+                    rec.retries += 1;
                     rec.events.push(format!(
-                        "gave up on '{what}' after {} attempt(s): {fault}",
-                        attempt + 1
+                        "retry {attempt}/{} for '{what}': {fault}",
+                        self.policy.max_retries
                     ));
                     if let Some(t) = trace {
-                        t.counter("recovery.unrecovered").inc();
+                        t.counter("recovery.retries").inc();
                     }
-                    return Err(fault_error(&fault, attempt + 1));
-                }
-                attempt += 1;
-                rec.retries += 1;
-                rec.events.push(format!(
-                    "retry {attempt}/{} for '{what}': {fault}",
-                    policy.max_retries
-                ));
-                if let Some(t) = trace {
-                    t.counter("recovery.retries").inc();
-                }
-                if policy.backoff > 0.0 {
-                    dev.advance("recovery.backoff", policy.backoff * attempt as f64);
+                    if self.policy.backoff > 0.0 {
+                        self.dev
+                            .advance("recovery.backoff", self.policy.backoff * attempt as f64);
+                    }
                 }
             }
         }
@@ -190,6 +234,19 @@ pub(crate) fn with_retry<R>(
 mod tests {
     use super::*;
     use gpu_sim::FaultKind;
+
+    fn ctx<'a>(
+        dev: &'a Device,
+        policy: RecoveryPolicy,
+        rec: &'a mut RecoveryReport,
+    ) -> ExecCtx<'a> {
+        ExecCtx {
+            dev,
+            policy,
+            trace: None,
+            rec,
+        }
+    }
 
     fn transient(op: &str) -> DeviceFault {
         DeviceFault {
@@ -205,7 +262,7 @@ mod tests {
         let policy = RecoveryPolicy::default();
         let mut rec = RecoveryReport::default();
         let mut calls = 0;
-        let r = with_retry(&dev, &policy, None, &mut rec, "op", || {
+        let r = ctx(&dev, policy, &mut rec).retry("op", || {
             calls += 1;
             if calls < 3 {
                 Err(transient("op"))
@@ -229,7 +286,7 @@ mod tests {
         };
         let mut rec = RecoveryReport::default();
         let mut calls = 0u32;
-        let r: Result<()> = with_retry(&dev, &policy, None, &mut rec, "op", || {
+        let r: Result<()> = ctx(&dev, policy, &mut rec).retry("op", || {
             calls += 1;
             Err(transient("op"))
         });
@@ -247,7 +304,7 @@ mod tests {
         let policy = RecoveryPolicy::default();
         let mut rec = RecoveryReport::default();
         let mut calls = 0u32;
-        let r: Result<()> = with_retry(&dev, &policy, None, &mut rec, "op", || {
+        let r: Result<()> = ctx(&dev, policy, &mut rec).retry("op", || {
             calls += 1;
             Err(DeviceFault {
                 op: "op".into(),
@@ -289,7 +346,7 @@ mod tests {
         let mut rec = RecoveryReport::default();
         let mut calls = 0;
         let c0 = dev.clock();
-        let _ = with_retry(&dev, &policy, None, &mut rec, "op", || {
+        let _ = ctx(&dev, policy, &mut rec).retry("op", || {
             calls += 1;
             if calls < 2 {
                 Err(transient("op"))

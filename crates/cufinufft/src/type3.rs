@@ -12,7 +12,7 @@
 use crate::bins::{build_subproblems, gpu_bin_sort};
 use crate::opts::{default_bin_size, resolve_spread_method, GpuOpts, Method};
 use crate::plan::{GpuStageTimings, Plan};
-use crate::recovery::{with_retry, RecoveryReport};
+use crate::recovery::{ExecCtx, RecoveryReport};
 use crate::spread::{spread_gm, spread_sm, PtsRef};
 use gpu_sim::{Device, GpuBuffer, Precision};
 use nufft_common::complex::Complex;
@@ -157,13 +157,8 @@ impl<T: Real> GpuType3Plan<T> {
             Err(e @ NufftError::MethodUnavailable(_))
                 if self.opts.recovery.allow_method_fallback =>
             {
-                self.recovery.method_fallbacks += 1;
                 self.recovery
-                    .events
-                    .push(format!("method fallback to GM-sort: {e}"));
-                if let Some(t) = &self.opts.trace {
-                    t.counter("recovery.fallbacks").inc();
-                }
+                    .note_method_fallback(&e, self.opts.trace.as_ref());
                 Method::GmSort
             }
             Err(e) => return Err(e),
@@ -180,32 +175,20 @@ impl<T: Real> GpuType3Plan<T> {
                 .map(|&v| T::from_f64(v.to_f64() / gamma[i]))
                 .collect();
         }
-        let dev = self.dev.clone();
-        let policy = self.opts.recovery;
-        let trace = self.opts.trace.clone();
-        let rec = &mut self.recovery;
+        let dev = &self.dev;
+        let mut ctx = ExecCtx::new(dev, &self.opts, &mut self.recovery);
         let t0 = dev.clock();
         let my = if self.dim >= 2 { m } else { 0 };
         let mz = if self.dim >= 3 { m } else { 0 };
         let mut bufs = [
-            with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:t3_x", || {
-                dev.alloc("t3_x", m)
-            })?,
-            with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:t3_y", || {
-                dev.alloc("t3_y", my)
-            })?,
-            with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:t3_z", || {
-                dev.alloc("t3_z", mz)
-            })?,
+            ctx.retry("alloc:t3_x", || dev.alloc("t3_x", m))?,
+            ctx.retry("alloc:t3_y", || dev.alloc("t3_y", my))?,
+            ctx.retry("alloc:t3_z", || dev.alloc("t3_z", mz))?,
         ];
         for (buf, coords) in bufs.iter_mut().zip(&xp.coords).take(self.dim) {
-            with_retry(&dev, &policy, trace.as_ref(), rec, "h2d:t3_pts", || {
-                dev.memcpy_htod(buf, coords)
-            })?;
+            ctx.retry("h2d:t3_pts", || dev.memcpy_htod(buf, coords))?;
         }
-        let d_grid = with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:t3_grid", || {
-            dev.alloc("t3_grid", nf.total())
-        })?;
+        let d_grid = ctx.retry("alloc:t3_grid", || dev.alloc("t3_grid", nf.total()))?;
         self.timings.alloc = dev.clock() - t0;
         // inner type 2 at tau = gamma h s
         let mut tau = Points {
@@ -278,27 +261,12 @@ impl<T: Real> GpuType3Plan<T> {
         let nf = self.nf;
         let cb = std::mem::size_of::<Complex<T>>();
         // transfer strengths
-        let dev = self.dev.clone();
-        let policy = self.opts.recovery;
-        let trace = self.opts.trace.clone();
+        let dev = &self.dev;
+        let mut ctx = ExecCtx::new(dev, &self.opts, &mut self.recovery);
         let msrc = self.m_sources;
         let t0 = self.dev.clock();
-        let mut d_c = with_retry(
-            &dev,
-            &policy,
-            trace.as_ref(),
-            &mut self.recovery,
-            "alloc:t3_c",
-            || dev.alloc("t3_c", msrc),
-        )?;
-        with_retry(
-            &dev,
-            &policy,
-            trace.as_ref(),
-            &mut self.recovery,
-            "h2d:t3_c",
-            || dev.memcpy_htod(&mut d_c, strengths),
-        )?;
+        let mut d_c = ctx.retry("alloc:t3_c", || dev.alloc("t3_c", msrc))?;
+        ctx.retry("h2d:t3_c", || dev.memcpy_htod(&mut d_c, strengths))?;
         self.timings.h2d_data = self.dev.clock() - t0;
         // spread on the device
         let t1 = self.dev.clock();
@@ -321,74 +289,53 @@ impl<T: Real> GpuType3Plan<T> {
             Method::Sm => {
                 let sort = gpu_bin_sort(&self.dev, xp, nf, bin_size);
                 let subs = build_subproblems(&self.dev, &sort, self.opts.tuning.msub);
-                with_retry(
-                    &dev,
-                    &policy,
-                    trace.as_ref(),
-                    &mut self.recovery,
-                    "t3:spread_SM",
-                    || {
-                        spread_sm(
-                            &dev,
-                            &self.kernel,
-                            nf,
-                            &pr,
-                            d_c.as_slice(),
-                            &sort.perm,
-                            &sort.layout,
-                            &subs,
-                            d_grid.as_mut_slice(),
-                        )
-                    },
-                )?;
+                ctx.retry("t3:spread_SM", || {
+                    spread_sm(
+                        dev,
+                        &self.kernel,
+                        nf,
+                        &pr,
+                        d_c.as_slice(),
+                        &sort.perm,
+                        &sort.layout,
+                        &subs,
+                        d_grid.as_mut_slice(),
+                    )
+                })?;
             }
             Method::GmSort => {
                 let sort = gpu_bin_sort(&self.dev, xp, nf, bin_size);
-                with_retry(
-                    &dev,
-                    &policy,
-                    trace.as_ref(),
-                    &mut self.recovery,
-                    "t3:spread_GMs",
-                    || {
-                        spread_gm(
-                            &dev,
-                            "t3_spread_GMs",
-                            &self.kernel,
-                            nf,
-                            &pr,
-                            d_c.as_slice(),
-                            &sort.perm,
-                            d_grid.as_mut_slice(),
-                            self.opts.tuning.threads_per_block,
-                            1.0,
-                        )
-                    },
-                )?;
+                ctx.retry("t3:spread_GMs", || {
+                    spread_gm(
+                        dev,
+                        "t3_spread_GMs",
+                        &self.kernel,
+                        nf,
+                        &pr,
+                        d_c.as_slice(),
+                        &sort.perm,
+                        d_grid.as_mut_slice(),
+                        self.opts.tuning.threads_per_block,
+                        1.0,
+                    )
+                })?;
             }
             _ => {
                 let natural: Vec<u32> = (0..self.m_sources as u32).collect();
-                with_retry(
-                    &dev,
-                    &policy,
-                    trace.as_ref(),
-                    &mut self.recovery,
-                    "t3:spread_GM",
-                    || {
-                        spread_gm(
-                            &dev,
-                            "t3_spread_GM",
-                            &self.kernel,
-                            nf,
-                            &pr,
-                            d_c.as_slice(),
-                            &natural,
-                            d_grid.as_mut_slice(),
-                            self.opts.tuning.threads_per_block,
-                            1.0,
-                        )
-                    },
-                )?;
+                ctx.retry("t3:spread_GM", || {
+                    spread_gm(
+                        dev,
+                        "t3_spread_GM",
+                        &self.kernel,
+                        nf,
+                        &pr,
+                        d_c.as_slice(),
+                        &natural,
+                        d_grid.as_mut_slice(),
+                        self.opts.tuning.threads_per_block,
+                        1.0,
+                    )
+                })?;
             }
         }
         // centered reorder (one device pass over the grid)

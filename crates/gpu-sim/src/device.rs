@@ -54,6 +54,9 @@ struct State {
     /// Host worker threads available to `Kernel::run_blocks`. Results are
     /// bit-identical at any value; this only changes host wall-clock.
     host_parallelism: usize,
+    /// Open [`Device::timed`] meters: `(id, seconds charged so far)`.
+    meters: Vec<(u64, f64)>,
+    meter_seq: u64,
 }
 
 /// Default host thread-pool width for parallel block execution: the
@@ -348,6 +351,9 @@ impl Device {
             let mut s = self.inner.state.lock();
             let start = s.clock;
             s.clock += duration;
+            for (_, t) in &mut s.meters {
+                *t += duration;
+            }
             let trace = s.trace.clone().map(|t| (t, start));
             if s.record_timeline {
                 s.timeline.push(TimelineRecord {
@@ -373,6 +379,28 @@ impl Device {
         duration
     }
 
+    /// Run `f` and return its result with the simulated seconds it
+    /// charged to the serial clock. The seconds are summed op by op from
+    /// zero, so the same work measures bit-equal wherever the clock
+    /// stands; a difference of two clock readings rounds at the clock's
+    /// magnitude instead. Meters nest.
+    pub fn timed<R>(&self, f: impl FnOnce() -> R) -> (R, f64) {
+        let id = {
+            let mut s = self.inner.state.lock();
+            s.meter_seq += 1;
+            let id = s.meter_seq;
+            s.meters.push((id, 0.0));
+            id
+        };
+        let r = f();
+        let mut s = self.inner.state.lock();
+        let t = match s.meters.iter().position(|&(i, _)| i == id) {
+            Some(k) => s.meters.remove(k).1,
+            None => 0.0,
+        };
+        (r, t)
+    }
+
     /// Usable capacity in bytes: the physical card, further capped by an
     /// attached fault plan's `mem_cap` (modelling other tenants on the
     /// device).
@@ -388,13 +416,14 @@ impl Device {
     /// Allocate a zero-initialized device buffer of `len` elements.
     /// Fails with a typed [`DeviceFault`] when capacity (physical or
     /// fault-injected) is exhausted, or when a `fail_alloc_nth` rule
-    /// fires.
+    /// fires. A byte size past `usize::MAX` saturates, so it is an OOM
+    /// like any other request beyond capacity.
     pub fn alloc<T: Clone + Default>(
         &self,
         name: &str,
         len: usize,
     ) -> Result<GpuBuffer<T>, DeviceFault> {
-        let bytes = len * std::mem::size_of::<T>();
+        let bytes = len.saturating_mul(std::mem::size_of::<T>());
         let opname = format!("alloc:{name}");
         let oom = |available: usize, transient: bool| DeviceFault {
             op: opname.clone(),
@@ -419,7 +448,7 @@ impl Device {
                 Some(injected) => cap.min(injected),
                 None => cap,
             };
-            if s.mem_used + bytes > cap {
+            if s.mem_used.saturating_add(bytes) > cap {
                 let available = cap.saturating_sub(s.mem_used);
                 drop(s);
                 // a capacity OOM while a plan is attached is still an
@@ -676,6 +705,15 @@ impl<T> GpuBuffer<T> {
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
+
+    /// Free the device memory now, leaving an empty buffer, so a caller
+    /// can drop an undersized buffer before allocating its replacement.
+    pub fn release(&mut self) {
+        let mut s = self.dev.state.lock();
+        s.mem_used = s.mem_used.saturating_sub(self.bytes);
+        self.bytes = 0;
+        self.data = Vec::new();
+    }
 }
 
 impl<T> std::fmt::Debug for GpuBuffer<T> {
@@ -689,8 +727,7 @@ impl<T> std::fmt::Debug for GpuBuffer<T> {
 
 impl<T> Drop for GpuBuffer<T> {
     fn drop(&mut self) {
-        let mut s = self.dev.state.lock();
-        s.mem_used = s.mem_used.saturating_sub(self.bytes);
+        self.release();
     }
 }
 
@@ -720,6 +757,42 @@ mod tests {
         assert_eq!(dev.mem_used(), before);
         // peak survives the free
         assert!(dev.mem_peak() >= before + (1 << 22));
+    }
+
+    #[test]
+    fn oversize_alloc_is_a_typed_oom() {
+        use nufft_common::complex::Complex;
+        let dev = Device::v100();
+        match dev.alloc::<Complex<f64>>("x", usize::MAX / 8) {
+            Err(DeviceFault {
+                kind: FaultKind::Oom { .. },
+                ..
+            }) => {}
+            other => panic!("expected a typed OOM, got {other:?}"),
+        }
+        assert_eq!(dev.mem_used(), 0);
+    }
+
+    #[test]
+    fn timed_sums_charged_seconds_independent_of_the_clock() {
+        let dev = Device::v100();
+        let op = || {
+            dev.bulk_op("a", 1 << 20, 0, 0.0, Precision::Single);
+            dev.bulk_op("b", 0, 3 << 10, 0.0, Precision::Double);
+        };
+        let ((), first) = dev.timed(op);
+        dev.advance("elsewhere", 0.123_456_789);
+        let (((), inner), outer) = dev.timed(|| dev.timed(op));
+        assert_eq!(inner.to_bits(), first.to_bits());
+        assert_eq!(outer.to_bits(), first.to_bits());
+    }
+
+    #[test]
+    fn release_frees_memory_before_drop() {
+        let dev = Device::v100();
+        let mut buf: GpuBuffer<f32> = dev.alloc("r", 16).unwrap();
+        buf.release();
+        assert_eq!((buf.len(), dev.mem_used()), (0, 0));
     }
 
     #[test]

@@ -112,6 +112,21 @@ impl EsKernel {
         Ok(EsKernel { w, beta })
     }
 
+    /// The kernel for tolerance `eps` at upsampling factor `sigma`: the
+    /// paper's rule ([`EsKernel::for_tolerance`]) at `sigma = 2`, the
+    /// generalized rule ([`EsKernel::for_tolerance_sigma`]) otherwise.
+    /// Every plan constructor selects its kernel here. `sigma` must
+    /// exceed 1 ([`NufftError::BadUpsampfac`] otherwise).
+    pub fn for_upsampfac(eps: f64, sigma: f64, is_double: bool) -> Result<Self> {
+        if (sigma - 2.0).abs() < 1e-12 {
+            Self::for_tolerance(eps, is_double)
+        } else if sigma > 1.0 {
+            Self::for_tolerance_sigma(eps, sigma, is_double)
+        } else {
+            Err(NufftError::BadUpsampfac(sigma))
+        }
+    }
+
     /// Evaluate `phi_beta(z)`; zero outside `[-1, 1]`.
     #[inline]
     pub fn eval(&self, z: f64) -> f64 {
@@ -308,6 +323,26 @@ mod tests {
         // widths agree within one grid point; beta within a few percent
         assert!((k2.w as i64 - kp.w as i64).abs() <= 1);
         assert!((k2.beta / k2.w as f64 - 2.30).abs() < 0.05);
+    }
+
+    #[test]
+    fn upsampfac_selection_picks_the_rule_by_sigma() {
+        for eps in [1e-3, 1e-6, 1e-9] {
+            assert_eq!(
+                EsKernel::for_upsampfac(eps, 2.0, true).unwrap(),
+                EsKernel::for_tolerance(eps, true).unwrap()
+            );
+            assert_eq!(
+                EsKernel::for_upsampfac(eps, 1.25, true).unwrap(),
+                EsKernel::for_tolerance_sigma(eps, 1.25, true).unwrap()
+            );
+        }
+        for bad in [1.0, 0.5, f64::NAN] {
+            assert!(matches!(
+                EsKernel::for_upsampfac(1e-6, bad, true),
+                Err(NufftError::BadUpsampfac(_))
+            ));
+        }
     }
 
     #[test]

@@ -184,6 +184,65 @@ mod tests {
         assert!(spec_matrix(true).len() > cells.len());
     }
 
+    /// Fine grid, kernel width and method of a plan built for `cell`.
+    fn built<T: nufft_common::Real>(
+        cell: &MatrixCell,
+        dev: &gpu_sim::Device,
+    ) -> nufft_common::Result<(nufft_common::Shape, usize, Method)> {
+        let plan = cufinufft::PlanBuilder::<T>::from_spec(&cell.spec)?
+            .tuning(cell.tuning)
+            .build(dev)?;
+        Ok((
+            plan.fine_grid_shape(),
+            plan.kernel().w,
+            plan.spread_method(),
+        ))
+    }
+
+    #[test]
+    fn plans_build_the_geometry_the_verifier_checks() {
+        // the quick matrix, plus sigma = 1.25 and a 1D prime exact grid
+        let sigma = Tuning {
+            upsampfac: 1.25,
+            ..Tuning::default()
+        };
+        let mut cells = spec_matrix(false);
+        for (modes, tuning) in [(vec![37, 16], sigma), (vec![211], Tuning::default())] {
+            for precision in [Precision::F32, Precision::F64] {
+                let spec = TransformSpec::type1(&modes)
+                    .eps(1e-5)
+                    .precision(precision)
+                    .fine_sizing(FineSizing::Exact);
+                cells.push(MatrixCell {
+                    spec,
+                    m: 1000,
+                    tuning,
+                });
+            }
+        }
+        let dev = gpu_sim::Device::v100();
+        let cap = dev.props().shared_mem_per_block;
+        let mut agreed = 0;
+        for cell in &cells {
+            let geom = PlanGeometry::from_spec(&cell.spec, cell.m, &cell.tuning, cap)
+                .map(|g| (g.fine, g.w, g.method));
+            let plan = match cell.spec.precision {
+                Precision::F32 => built::<f32>(cell, &dev),
+                Precision::F64 => built::<f64>(cell, &dev),
+            };
+            match (&geom, &plan) {
+                (Ok(g), Ok(p)) => {
+                    assert_eq!(g, p, "{}", cell.spec.label());
+                    agreed += 1;
+                }
+                (Err(_), Err(_)) => {}
+                _ => panic!("{}: verifier {geom:?}, plan {plan:?}", cell.spec.label()),
+            }
+        }
+        // only the Remark-2-infeasible explicit-SM cells may fail
+        assert!(agreed >= cells.len() - 4, "{agreed} of {}", cells.len());
+    }
+
     #[test]
     fn quick_access_plan_pass_is_clean_and_counts_coverage() {
         let trace = Trace::new();
