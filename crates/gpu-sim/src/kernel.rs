@@ -539,12 +539,26 @@ struct WorkerScratch {
     shared_epoch: Vec<u32>,
     shared_count: Vec<u64>,
     cur_epoch: u32,
-    /// Open-addressing probe table for [`Self::count_distinct`]: 64
-    /// slots for at most 32 warp-lane sector ids, epoch-stamped so it
-    /// never needs clearing between calls.
-    dedup_ids: [usize; 64],
-    dedup_epoch: [u64; 64],
+    /// Open-addressing probe table behind [`Self::count_distinct`] and
+    /// [`BlockAcc::l2_warp_runs`]: a sparse bitset of ids, one slot per
+    /// aligned group of 64 ids. A power of two in size, at most half
+    /// full (range inserts double it on demand; 32 lane ids fit its 64
+    /// minimum slots), and epoch-stamped so it never needs clearing.
+    dedup: Vec<ProbeSlot>,
     dedup_clock: u64,
+    /// Slots in use since the last [`Self::distinct_begin`].
+    dedup_slots: usize,
+    /// Distinct ids inserted since the last [`Self::distinct_begin`].
+    dedup_count: u64,
+}
+
+/// One probe-table slot: ids `64 * key + b` for each set bit `b` of
+/// `bits`, valid while `epoch` is the table's current count.
+#[derive(Copy, Clone, Default)]
+struct ProbeSlot {
+    epoch: u64,
+    key: usize,
+    bits: u64,
 }
 
 impl WorkerScratch {
@@ -554,38 +568,100 @@ impl WorkerScratch {
             shared_epoch: vec![0u32; p.shared_words],
             shared_count: vec![0u64; p.shared_words],
             cur_epoch: 0,
-            dedup_ids: [0; 64],
-            dedup_epoch: [0; 64],
+            dedup: vec![ProbeSlot::default(); 64],
             dedup_clock: 0,
+            dedup_slots: 0,
+            dedup_count: 0,
         }
     }
 
-    /// Exact count of distinct ids (≤ 32 of them) via the epoch-stamped
-    /// probe table — same result as sort+dedup ([`dedup_sectors`]), but
-    /// without the per-warp-instruction sort that dominated simulated
-    /// spread launches on the host profile. Linear probing in a table
-    /// twice the maximum input size always terminates.
+    /// Exact count of distinct ids via the epoch-stamped probe table —
+    /// same result as sort+dedup ([`dedup_sectors`]), but without the
+    /// per-warp-instruction sort that dominated simulated spread launches
+    /// on the host profile.
     #[inline]
     fn count_distinct(&mut self, ids: impl Iterator<Item = usize>) -> u64 {
-        self.dedup_clock += 1;
-        let ep = self.dedup_clock;
-        let mut distinct = 0u64;
+        debug_assert!(self.dedup.len() >= 64, "room for 32 lanes at half load");
+        self.distinct_begin();
         for id in ids {
-            let mut slot = id & 63;
-            loop {
-                if self.dedup_epoch[slot] != ep {
-                    self.dedup_epoch[slot] = ep;
-                    self.dedup_ids[slot] = id;
-                    distinct += 1;
-                    break;
-                }
-                if self.dedup_ids[slot] == id {
-                    break;
-                }
-                slot = (slot + 1) & 63;
-            }
+            let i = self.probe(id >> 6);
+            let (bit, slot) = (1u64 << (id & 63), &mut self.dedup[i].bits);
+            self.dedup_count += u64::from(*slot & bit == 0);
+            *slot |= bit;
         }
-        distinct
+        self.dedup_count
+    }
+
+    /// Start a new distinct count, forgetting every id inserted before.
+    #[inline]
+    fn distinct_begin(&mut self) {
+        self.dedup_clock += 1;
+        self.dedup_slots = 0;
+        self.dedup_count = 0;
+    }
+
+    /// Add the ids `lo..=hi` to the current distinct count: one probe
+    /// per aligned group of 64 ids the range touches.
+    #[inline]
+    fn distinct_insert_range(&mut self, lo: usize, hi: usize) {
+        let (k0, k1) = (lo >> 6, hi >> 6);
+        for key in k0..=k1 {
+            let a = if key == k0 { lo & 63 } else { 0 };
+            let b = if key == k1 { hi & 63 } else { 63 };
+            let bits = (u64::MAX >> (63 - (b - a))) << a;
+            if 2 * (self.dedup_slots + 1) > self.dedup.len() {
+                self.grow_probe_table();
+            }
+            let i = self.probe(key);
+            let slot = &mut self.dedup[i].bits;
+            self.dedup_count += u64::from((bits & !*slot).count_ones());
+            *slot |= bits;
+        }
+    }
+
+    /// Index of `key`'s slot in the current count, claiming an empty
+    /// slot (no ids yet) if the key is new. Linear probing terminates
+    /// while the table is at most half full: 32 lane ids cannot fill
+    /// half of its 64 minimum slots, and range inserts grow it first.
+    #[inline]
+    fn probe(&mut self, key: usize) -> usize {
+        let mask = self.dedup.len() - 1;
+        let ep = self.dedup_clock;
+        let mut i = key & mask;
+        loop {
+            let slot = &mut self.dedup[i];
+            if slot.epoch != ep {
+                *slot = ProbeSlot {
+                    epoch: ep,
+                    key,
+                    bits: 0,
+                };
+                self.dedup_slots += 1;
+                return i;
+            }
+            if slot.key == key {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Double the probe table, moving the current count's slots over.
+    #[cold]
+    fn grow_probe_table(&mut self) {
+        let ep = self.dedup_clock;
+        let live: Vec<ProbeSlot> = self
+            .dedup
+            .iter()
+            .filter(|s| s.epoch == ep)
+            .copied()
+            .collect();
+        self.dedup = vec![ProbeSlot::default(); 2 * self.dedup.len()];
+        self.dedup_slots = 0;
+        for s in live {
+            let i = self.probe(s.key);
+            self.dedup[i].bits = s.bits;
+        }
     }
 }
 
@@ -680,10 +756,39 @@ impl<'w> BlockAcc<'w> {
         }
     }
 
-    /// See [`BlockCtx::l2_sector_count`].
+    /// Directly add `n` L2 sector transactions, for a caller that has
+    /// already deduplicated a larger access set itself.
     #[inline]
     pub fn l2_sector_count(&mut self, n: u64) {
         self.l2_sectors += n;
+    }
+
+    /// One warp's L1-filtered gather: loads cached in L1 for the warp's
+    /// whole footprint (unlike atomics, which bypass L1) cost each L2
+    /// sector once. The loads are given as runs `(first_elem, len)` of
+    /// consecutive `elem_bytes`-sized elements, each addressed by its
+    /// first byte as in [`Self::l2_access`]; the count equals sort+dedup
+    /// over the sectors of every element of every run. Elements no
+    /// larger than a sector leave no sector of a run's range untouched,
+    /// so a run inserts its sector range (one probe per 64 sectors, not
+    /// one per element); larger elements insert one id per element.
+    pub fn l2_warp_runs(&mut self, elem_bytes: usize, runs: &[(usize, usize)]) {
+        let sb = self.params.sector_bytes;
+        let sc = &mut *self.scratch;
+        sc.distinct_begin();
+        for &(first, len) in runs.iter().filter(|r| r.1 > 0) {
+            if elem_bytes <= sb {
+                let lo = div_fast(first * elem_bytes, sb);
+                let hi = div_fast((first + len - 1) * elem_bytes, sb);
+                sc.distinct_insert_range(lo, hi);
+            } else {
+                for e in first..first + len {
+                    let s = div_fast(e * elem_bytes, sb);
+                    sc.distinct_insert_range(s, s);
+                }
+            }
+        }
+        self.l2_sectors += sc.dedup_count;
     }
 
     /// See [`BlockCtx::warp_access`]. Lane line touches are logged for
@@ -864,15 +969,6 @@ impl BlockCtx<'_> {
     /// footprint rows are reported to the line cache once per row.
     pub fn l2_access(&mut self, byte_addrs: &[usize]) {
         self.l2_sectors += self.dedup_sectors(byte_addrs);
-    }
-
-    /// Directly add `n` L2 sector transactions. Used when the caller has
-    /// already deduplicated a larger access set (e.g. read-only gathers
-    /// filtered through the per-SM L1, which atomics bypass but loads
-    /// enjoy: a warp's whole footprint counts each sector once).
-    #[inline]
-    pub fn l2_sector_count(&mut self, n: u64) {
-        self.l2_sectors += n;
     }
 
     /// One warp-wide access including its DRAM-side line traffic (each
@@ -1174,6 +1270,7 @@ mod tests {
         let cases: Vec<Vec<usize>> = vec![
             vec![0; 32],                                 // one sector, 32 dups
             (0..32).map(|i| i * 64).collect(),           // all hash to slot 0
+            (0..32).map(|i| i * 4096 + i).collect(),     // keys 64 apart: slot 0
             (0..32).map(|i| i * 64 + (i & 1)).collect(), // collide + neighbours
             vec![63, 127, 191, 63, 127, 5, 5, 64, 0],    // mixed dups
             (0..32).rev().collect(),                     // descending
@@ -1184,6 +1281,76 @@ mod tests {
             let mut k = mk(LaunchConfig::new(Precision::Single, 128));
             k.run_blocks(1, |_, b| b.l2_access(&addrs), |_, ()| {});
             assert_eq!(k.l2_sectors, reference, "ids {ids:?}");
+        }
+    }
+
+    #[test]
+    fn warp_runs_count_matches_sort_dedup() {
+        // `BlockAcc::l2_warp_runs` inserts each run's sector range into
+        // the probe table; it must count exactly the distinct sectors of
+        // every element's first byte, as a sort+dedup over all elements.
+        fn reference(sb: usize, eb: usize, runs: &[(usize, usize)]) -> u64 {
+            let mut ids: Vec<usize> = runs
+                .iter()
+                .flat_map(|&(first, len)| (first..first + len).map(|e| e * eb / sb))
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids.len() as u64
+        }
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut rnd = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        // (sector bytes, element bytes, runs)
+        type Case = (usize, usize, Vec<(usize, usize)>);
+        let mut cases: Vec<Case> = Vec::new();
+        // random runs crossing sector boundaries (f64 complex cells)
+        for _ in 0..20 {
+            let runs = (0..1 + rnd(40)).map(|_| (rnd(500), rnd(10))).collect();
+            cases.push((32, 16, runs));
+        }
+        // footprint rows of 7 f32-complex cells on an odd-width grid:
+        // adjacent rows share the sector that straddles the row boundary
+        let n1 = 15;
+        for _ in 0..10 {
+            let runs = (0..32)
+                .flat_map(|_| {
+                    let (start, row) = (rnd(n1 - 7), rnd(6));
+                    (0..4).map(move |t| ((row + t) * n1 + start, 7))
+                })
+                .collect();
+            cases.push((32, 8, runs));
+        }
+        // non-power-of-two sectors: straddling elements (16 B in 24 B
+        // sectors), and elements wider than a sector (per-element path)
+        for eb in [8, 16, 24, 40] {
+            let runs = (0..50).map(|_| (rnd(300), 1 + rnd(12))).collect();
+            cases.push((24, eb, runs));
+        }
+        // far more than 64 distinct ids: the table must grow mid-count
+        let runs = (0..300).map(|_| (rnd(100_000), 1 + rnd(30))).collect();
+        cases.push((32, 16, runs));
+        cases.push((32, 16, vec![(0, 5000)]));
+        for (sb, eb, runs) in cases {
+            let mut props = DeviceProps::v100();
+            props.sector_bytes = sb;
+            let mut k = Kernel::new("test", LaunchConfig::new(Precision::Single, 128), props);
+            // two counts per block: the second must forget the first
+            k.run_blocks(
+                1,
+                |_, b| {
+                    b.l2_warp_runs(eb, &[(7, 300)]);
+                    b.l2_access(&[0, 64, 128]);
+                    b.l2_warp_runs(eb, &runs);
+                },
+                |_, ()| {},
+            );
+            let want = reference(sb, eb, &[(7, 300)]) + 3 + reference(sb, eb, &runs);
+            assert_eq!(k.l2_sectors, want, "sb {sb} eb {eb} runs {runs:?}");
         }
     }
 
