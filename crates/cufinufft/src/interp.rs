@@ -5,8 +5,8 @@
 //! only effect of sorting is read coalescing; there is no SM variant
 //! (the paper argues its benefit would be limited).
 
-use crate::spread::{footprint, Footprint, PtsRef, SpreadInputs, MAX_W};
-use gpu_sim::{Device, DeviceFault, LaunchConfig, LaunchReport, Precision, Scope};
+use crate::spread::{footprint, Footprint, PtsRef, SpreadInputs};
+use gpu_sim::{BlockAcc, Device, DeviceFault, LaunchConfig, LaunchReport, Precision, Scope};
 use nufft_common::complex::Complex;
 use nufft_common::real::Real;
 use nufft_common::shape::Shape;
@@ -29,6 +29,76 @@ pub fn interp_gm<T: Real, K: Kernel1d>(
     out: &mut [Complex<T>],
     threads_per_block: usize,
 ) -> Result<LaunchReport, DeviceFault> {
+    let [n1, n2, _] = fine.n;
+    let cb = std::mem::size_of::<Complex<T>>();
+    let count = |b: &mut BlockAcc<'_>, fps: &[Footprint], runs: &mut Vec<(usize, usize)>| {
+        warp_grid_sectors(b, fps, n1, n2, cb, runs)
+    };
+    interp_gm_counted(
+        dev,
+        name,
+        kernel,
+        fine,
+        pts,
+        grid,
+        order,
+        out,
+        threads_per_block,
+        count,
+    )
+}
+
+/// Report the L2 sectors of one warp's grid loads, each sector once
+/// (see [`BlockAcc::l2_warp_runs`]): one run of cells per footprint
+/// row, two when the row wraps in x, so the cost is 32·w^(d−1) runs per
+/// warp rather than 32·w^d cells.
+fn warp_grid_sectors(
+    b: &mut BlockAcc<'_>,
+    fps: &[Footprint],
+    n1: usize,
+    n2: usize,
+    cb: usize,
+    runs: &mut Vec<(usize, usize)>,
+) {
+    runs.clear();
+    for fp in fps {
+        let (start, wd1) = (fp.idx[0][0], fp.wd[0]);
+        for t3 in 0..fp.wd[2] {
+            for t2 in 0..fp.wd[1] {
+                let row = n1 * (fp.idx[1][t2] + n2 * fp.idx[2][t3]);
+                if wd1 >= n1 {
+                    runs.push((row, n1));
+                } else if start + wd1 <= n1 {
+                    runs.push((row + start, wd1));
+                } else {
+                    runs.push((row + start, n1 - start));
+                    runs.push((row, wd1 - (n1 - start)));
+                }
+            }
+        }
+    }
+    b.l2_warp_runs(cb, runs);
+}
+
+/// [`interp_gm`] with the warp grid-load sector count supplied by the
+/// caller (`count(block, warp footprints, scratch runs)`), so tests can
+/// hold the shipped count against an independent one.
+#[allow(clippy::too_many_arguments)]
+fn interp_gm_counted<T: Real, K: Kernel1d, C>(
+    dev: &Device,
+    name: &str,
+    kernel: &K,
+    fine: Shape,
+    pts: &PtsRef<'_, T>,
+    grid: &[Complex<T>],
+    order: &[u32],
+    out: &mut [Complex<T>],
+    threads_per_block: usize,
+    count: C,
+) -> Result<LaunchReport, DeviceFault>
+where
+    C: Fn(&mut BlockAcc<'_>, &[Footprint], &mut Vec<(usize, usize)>) + Sync,
+{
     assert_eq!(grid.len(), fine.total());
     assert_eq!(out.len(), order.len());
     let cb = std::mem::size_of::<Complex<T>>();
@@ -47,7 +117,6 @@ pub fn interp_gm<T: Real, K: Kernel1d>(
     let w = kernel.width();
     let dim = pts.dim;
     let [n1, n2, _] = fine.n;
-    let sector_bytes = dev.props().sector_bytes;
     let m = order.len();
     let n_blocks = m.div_ceil(threads_per_block);
     let pts = *pts;
@@ -55,11 +124,11 @@ pub fn interp_gm<T: Real, K: Kernel1d>(
     // serial; see `Kernel::run_blocks`). Each point's value is written by
     // exactly one thread, so the per-block result is a disjoint list of
     // (j, value) writes applied in block-id order.
-    let body = |bid: usize, b: &mut gpu_sim::BlockAcc<'_>| {
+    let body = |bid: usize, b: &mut BlockAcc<'_>| {
         let block = &order[bid * threads_per_block..m.min((bid + 1) * threads_per_block)];
         let mut addrs = [0usize; 32];
         let mut fps: Vec<Footprint> = Vec::with_capacity(32);
-        let mut warp_sectors: Vec<usize> = Vec::new();
+        let mut runs: Vec<(usize, usize)> = Vec::new();
         let mut writes: Vec<(usize, Complex<T>)> = Vec::with_capacity(block.len());
         for (wi, warp) in block.chunks(32).enumerate() {
             let lane0 = (wi * 32) as u32;
@@ -79,23 +148,8 @@ pub fn interp_gm<T: Real, K: Kernel1d>(
             );
             let [wd1, wd2, wd3] = fps[0].wd;
             let steps = (wd1 * wd2 * wd3) as u64;
-            // loads are L1-cached within the warp's footprint (unlike
-            // atomics, which bypass L1): count each sector once per warp
-            warp_sectors.clear();
-            for t3 in 0..wd3 {
-                for t2 in 0..wd2 {
-                    for t1 in 0..wd1 {
-                        for fp in fps.iter() {
-                            let cell = fp.idx[0][t1] + n1 * (fp.idx[1][t2] + n2 * fp.idx[2][t3]);
-                            warp_sectors.push(cell * cb / sector_bytes);
-                        }
-                    }
-                }
-            }
             b.flops(steps * fps.len() as u64 * FLOPS_PER_CELL);
-            warp_sectors.sort_unstable();
-            warp_sectors.dedup();
-            b.l2_sector_count(warp_sectors.len() as u64);
+            count(b, &fps, &mut runs);
             // DRAM-side grid reads, row-wise through the line model
             for fp in fps.iter() {
                 for t3 in 0..fp.wd[2] {
@@ -113,24 +167,19 @@ pub fn interp_gm<T: Real, K: Kernel1d>(
             // functional interpolation
             for (l, (&j, fp)) in warp.iter().zip(fps.iter()).enumerate() {
                 let lane = lane0 + l as u32;
-                let mut acc = Complex::<T>::ZERO;
-                for t3 in 0..fp.wd[2] {
-                    for t2 in 0..fp.wd[1] {
-                        let k23 = fp.ker[1][t2] * fp.ker[2][t3];
-                        let base = fp.idx[2][t3] * n1 * n2 + fp.idx[1][t2] * n1;
-                        let mut row = Complex::<T>::ZERO;
-                        for t1 in 0..fp.wd[0] {
-                            row += grid[base + fp.idx[0][t1]].scale(T::from_f64(fp.ker[0][t1]));
-                            if traced {
-                                let cell = (base + fp.idx[0][t1]) as u64;
+                writes.push((j as usize, gather(grid, fp, n1, n2)));
+                if traced {
+                    for t3 in 0..fp.wd[2] {
+                        for t2 in 0..fp.wd[1] {
+                            let base = fp.idx[2][t3] * n1 * n2 + fp.idx[1][t2] * n1;
+                            for &i1 in &fp.idx[0][..fp.wd[0]] {
+                                let cell = (base + i1) as u64;
                                 b.trace_read(tb_grid, lane, 2 * cell);
                                 b.trace_read(tb_grid, lane, 2 * cell + 1);
                             }
                         }
-                        acc += row.scale(T::from_f64(k23));
                     }
                 }
-                writes.push((j as usize, acc));
                 b.trace_write(tb_out, lane, 2 * j as u64);
                 b.trace_write(tb_out, lane, 2 * j as u64 + 1);
             }
@@ -143,6 +192,25 @@ pub fn interp_gm<T: Real, K: Kernel1d>(
         }
     });
     Ok(dev.launch_end(k))
+}
+
+/// The value at one point: its footprint's grid cells weighted by the
+/// separable kernel, summed along x within each row, then over rows.
+#[inline]
+fn gather<T: Real>(grid: &[Complex<T>], fp: &Footprint, n1: usize, n2: usize) -> Complex<T> {
+    let mut acc = Complex::<T>::ZERO;
+    for t3 in 0..fp.wd[2] {
+        for t2 in 0..fp.wd[1] {
+            let k23 = fp.ker[1][t2] * fp.ker[2][t3];
+            let base = fp.idx[2][t3] * n1 * n2 + fp.idx[1][t2] * n1;
+            let mut row = Complex::<T>::ZERO;
+            for t1 in 0..fp.wd[0] {
+                row += grid[base + fp.idx[0][t1]].scale(T::from_f64(fp.ker[0][t1]));
+            }
+            acc += row.scale(T::from_f64(k23));
+        }
+    }
+    acc
 }
 
 /// Shared-memory interpolation (the variant the paper chose NOT to ship;
@@ -188,7 +256,6 @@ pub fn interp_sm<T: Real, K: Kernel1d>(
     let [n1, n2, n3] = fine.n;
     let half = (pad / 2) as i64;
     let mut addrs = [0usize; 32];
-    let mut idx = [[0usize; MAX_W]; 3];
     for sp in subproblems {
         let mut b = k.block();
         let o = layout.origin(sp.bin as usize);
@@ -222,25 +289,7 @@ pub fn interp_sm<T: Real, K: Kernel1d>(
                 b.shared_reads((fp.wd[0] * fp.wd[1] * fp.wd[2]) as u64);
                 b.flops((fp.wd[0] * fp.wd[1] * fp.wd[2]) as u64 * 8);
                 // functional evaluation straight from the global grid
-                for i in 0..3 {
-                    let n = [n1, n2, n3][i] as i64;
-                    for (t, slot) in idx[i][..fp.wd[i]].iter_mut().enumerate() {
-                        *slot = (fp.l0[i] + t as i64).rem_euclid(n) as usize;
-                    }
-                }
-                let mut acc = Complex::<T>::ZERO;
-                for t3 in 0..fp.wd[2] {
-                    for t2 in 0..fp.wd[1] {
-                        let k23 = fp.ker[1][t2] * fp.ker[2][t3];
-                        let base = idx[2][t3] * n1 * n2 + idx[1][t2] * n1;
-                        let mut row = Complex::<T>::ZERO;
-                        for t1 in 0..fp.wd[0] {
-                            row += grid[base + idx[0][t1]].scale(T::from_f64(fp.ker[0][t1]));
-                        }
-                        acc += row.scale(T::from_f64(k23));
-                    }
-                }
-                out[j as usize] = acc;
+                out[j as usize] = gather(grid, &fp, n1, n2);
             }
             // output writes
             for (l, &j) in warp.iter().enumerate() {
@@ -357,6 +406,100 @@ mod tests {
         for j in 0..m {
             assert_eq!(a[j].re, b[j].re);
             assert_eq!(a[j].im, b[j].im);
+        }
+    }
+
+    /// The per-cell count [`warp_grid_sectors`] replaced: every cell of
+    /// every footprint pushed as a sector id, then sort + dedup.
+    fn sorted_cell_sectors(
+        b: &mut BlockAcc<'_>,
+        fps: &[Footprint],
+        fine: Shape,
+        cb: usize,
+        sector_bytes: usize,
+    ) {
+        let [n1, n2, _] = fine.n;
+        let mut ids = Vec::new();
+        for fp in fps {
+            for t3 in 0..fp.wd[2] {
+                for t2 in 0..fp.wd[1] {
+                    for &i1 in &fp.idx[0][..fp.wd[0]] {
+                        let cell = i1 + n1 * (fp.idx[1][t2] + n2 * fp.idx[2][t3]);
+                        ids.push(cell * cb / sector_bytes);
+                    }
+                }
+            }
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        b.l2_sector_count(ids.len() as u64);
+    }
+
+    fn check_run_count_matches_cell_count<T: Real>(dim: usize, fine: Shape, w: usize) {
+        let dev = Device::v100();
+        let kernel = EsKernel::with_width(w);
+        let m = 1000;
+        let pts = gen_points::<T>(PointDist::Rand, dim, m, fine, 71);
+        let grid = gen_strengths::<T>(fine.total(), 72);
+        let natural: Vec<u32> = (0..m as u32).collect();
+        let sort = gpu_bin_sort(&dev, &pts, fine, [8, 8, if dim == 3 { 4 } else { 1 }]);
+        let cb = std::mem::size_of::<Complex<T>>();
+        let sb = dev.props().sector_bytes;
+        for order in [&natural, &sort.perm] {
+            let mut a = vec![Complex::<T>::ZERO; m];
+            let mut b = vec![Complex::<T>::ZERO; m];
+            let ra = interp_gm(
+                &dev,
+                "i",
+                &kernel,
+                fine,
+                &pts_ref(&pts),
+                &grid,
+                order,
+                &mut a,
+                128,
+            )
+            .unwrap();
+            let cells = |blk: &mut BlockAcc<'_>, fps: &[Footprint], _: &mut Vec<(usize, usize)>| {
+                sorted_cell_sectors(blk, fps, fine, cb, sb)
+            };
+            let rb = interp_gm_counted(
+                &dev,
+                "i",
+                &kernel,
+                fine,
+                &pts_ref(&pts),
+                &grid,
+                order,
+                &mut b,
+                128,
+                cells,
+            )
+            .unwrap();
+            let what = format!("dim {dim} fine {:?} w {w} f64 {}", fine.n, T::IS_DOUBLE);
+            assert_eq!(ra.duration.to_bits(), rb.duration.to_bits(), "{what}");
+            assert_eq!(ra.l2_bytes.to_bits(), rb.l2_bytes.to_bits(), "{what}");
+            assert_eq!(ra.dram_bytes.to_bits(), rb.dram_bytes.to_bits(), "{what}");
+            assert_eq!(ra.flops.to_bits(), rb.flops.to_bits(), "{what}");
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.re.to_f64().to_bits(), y.re.to_f64().to_bits(), "{what}");
+                assert_eq!(x.im.to_f64().to_bits(), y.im.to_f64().to_bits(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_run_sector_count_matches_per_cell_count_bitwise() {
+        // {2D, 3D} × {f32, f64} × {GM, GM-sort}; the odd 15-cell rows
+        // with w = 7 wrap in x and, in f32, share sectors across rows.
+        for (dim, fine, w) in [
+            (2, Shape::d2(64, 48), 6),
+            (2, Shape::d2(15, 20), 7),
+            (3, Shape::d3(24, 16, 20), 5),
+            (3, Shape::d3(15, 12, 14), 7),
+        ] {
+            check_run_count_matches_cell_count::<f32>(dim, fine, w);
+            check_run_count_matches_cell_count::<f64>(dim, fine, w);
         }
     }
 

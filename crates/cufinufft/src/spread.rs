@@ -55,10 +55,14 @@ pub(crate) struct Footprint {
     pub l0: [i64; 3],
     pub wd: [usize; 3],
     pub ker: [[f64; MAX_W]; 3],
-    /// Wrapped grid indices `(l0 + t).rem_euclid(n)` per dimension,
-    /// precomputed once per point so the w^d lockstep/update loops do
-    /// table lookups instead of one i64 division per cell visit (the
-    /// dominant host cost of a simulated spread launch).
+    /// Wrapped grid indices `(l0 + t).rem_euclid(n)` for `t < wd[i]` in
+    /// each dimension `i` (all zero in unused dimensions), precomputed
+    /// once per point so the w^d lockstep/update/gather loops do table
+    /// lookups instead of one i64 division per cell visit. Filled with
+    /// one division per dimension, then increment-and-wrap. Row `t2, t3`
+    /// is therefore the run of cells from `idx[0][0]` in x, wrapping at
+    /// most once to 0 when `wd[0] <= n`, which interp's sector count
+    /// relies on.
     pub idx: [[usize; MAX_W]; 3],
 }
 
@@ -81,9 +85,14 @@ pub(crate) fn footprint<T: Real, K: Kernel1d>(
         let (l0, z0) = spread_footprint(g, w);
         fp.l0[i] = l0;
         fp.wd[i] = w;
-        let n = fine.n[i] as i64;
-        for (t, slot) in fp.idx[i][..w].iter_mut().enumerate() {
-            *slot = (l0 + t as i64).rem_euclid(n) as usize;
+        let n = fine.n[i];
+        let mut c = l0.rem_euclid(n as i64) as usize;
+        for slot in fp.idx[i][..w].iter_mut() {
+            *slot = c;
+            c += 1;
+            if c == n {
+                c = 0;
+            }
         }
         kernel.eval_row(z0, &mut fp.ker[i][..w]);
     }

@@ -88,6 +88,9 @@ fn parallel_blocks_match_serial_bitwise_2d() {
 fn parallel_blocks_match_serial_bitwise_3d() {
     check_case::<f64>(&[12, 10, 8], 400, 1e-7, Method::GmSort, 42);
     check_case::<f64>(&[10, 10, 10], 300, 1e-6, Method::Gm, 43);
+    // f32 on a 15×12×12 fine grid: odd rows wrap in x and f32 cells
+    // put one sector across two rows
+    check_case::<f32>(&[7, 6, 5], 300, 1e-5, Method::GmSort, 44);
 }
 
 /// Widened multi-seed sweep, run when `PAR=full` (see scripts/check.sh).
