@@ -99,7 +99,7 @@ else
   echo "== serve chaos smoke ran in the workspace pass (SERVE_CHAOS=1 for the multi-seed sweep)"
 fi
 
-# Wall-clock bench trajectory (DESIGN.md §5j, ROADMAP item 3): produce a
+# Wall-clock bench trajectory (DESIGN.md §5j, ROADMAP item 1): produce a
 # results/bench/BENCH_<date>.json, validate it against the nufft-bench/v1
 # schema, and compare against the latest prior trajectory point.
 # Advisory by default; BENCH=strict fails on >15% regressions AND when
