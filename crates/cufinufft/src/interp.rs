@@ -634,6 +634,169 @@ mod tests {
         }
     }
 
+    /// Every launch-report figure as bits, then an FNV-1a hash over the
+    /// bits of `out`: a single array a pin can compare in one assert.
+    fn report_and_output_bits<T: Real>(r: &LaunchReport, out: &[Complex<T>]) -> [u64; 16] {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in out.iter().flat_map(|z| [z.re.to_f64(), z.im.to_f64()]) {
+            h = (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3);
+        }
+        let d = &r.breakdown;
+        [
+            r.duration.to_bits(),
+            d.makespan.to_bits(),
+            d.l2.to_bits(),
+            d.dram.to_bits(),
+            d.compute.to_bits(),
+            d.atomic_hotspot.to_bits(),
+            d.atomic_ops.to_bits(),
+            d.overhead.to_bits(),
+            r.l2_bytes.to_bits(),
+            r.dram_bytes.to_bits(),
+            r.flops.to_bits(),
+            r.global_atomics,
+            r.atomic_hotspot_count,
+            r.blocks as u64,
+            out.len() as u64,
+            h,
+        ]
+    }
+
+    fn interp_sm_bits<T: Real>(
+        dist: PointDist,
+        fine: Shape,
+        m: usize,
+        seed: u64,
+        host_threads: usize,
+    ) -> [u64; 16] {
+        use crate::bins::build_subproblems;
+        let dev = Device::v100();
+        dev.set_host_parallelism(host_threads);
+        let dim = fine.dim;
+        let kernel = EsKernel::with_width(6);
+        let pts = gen_points::<T>(dist, dim, m, fine, seed);
+        let grid = gen_strengths::<T>(fine.total(), seed + 1);
+        let sort = gpu_bin_sort(&dev, &pts, fine, crate::default_bin_size(dim));
+        let subs = build_subproblems(&dev, &sort, 256);
+        let mut out = vec![Complex::<T>::ZERO; m];
+        let r = interp_sm(
+            &dev,
+            &kernel,
+            fine,
+            &pts_ref(&pts),
+            &grid,
+            &sort.perm,
+            &sort.layout,
+            &subs,
+            &mut out,
+        )
+        .unwrap();
+        report_and_output_bits(&r, &out)
+    }
+
+    #[test]
+    fn interp_sm_report_and_output_are_pinned() {
+        // Full launch report and output bits of the SM interpolation
+        // ablation, at 1 and 4 host threads, against values recorded
+        // from the serial block-accounting implementation.
+        type Case = (&'static str, fn(usize) -> [u64; 16], [u64; 16]);
+        let cases: [Case; 4] = [
+            (
+                "2D f32 cluster",
+                |t| interp_sm_bits::<f32>(PointDist::Cluster, Shape::d2(64, 48), 1500, 81, t),
+                [
+                    4528353286175233400,
+                    4523505397118813853,
+                    4497417336806888394,
+                    4491474040853447943,
+                    4506590134226961088,
+                    0,
+                    0,
+                    4524193975976911956,
+                    4681401652698152960,
+                    4670549472932003840,
+                    4696596628516110336,
+                    0,
+                    0,
+                    6,
+                    1500,
+                    1598438543192378245,
+                ],
+            ),
+            (
+                "2D f64 rand",
+                |t| interp_sm_bits::<f64>(PointDist::Rand, Shape::d2(96, 64), 1500, 83, t),
+                [
+                    4531085998371527780,
+                    4528008996746184349,
+                    4505294190420289708,
+                    4499191719233933331,
+                    4511093733854331584,
+                    0,
+                    0,
+                    4524193975976911956,
+                    4689380808580923392,
+                    4677762269210214400,
+                    4696596628516110336,
+                    0,
+                    0,
+                    9,
+                    1500,
+                    12342886102053076788,
+                ],
+            ),
+            (
+                "3D f32 rand",
+                |t| interp_sm_bits::<f32>(PointDist::Rand, Shape::d3(32, 24, 20), 1200, 85, t),
+                [
+                    4529924341475054589,
+                    4526382566612902355,
+                    4515154286840768821,
+                    4504254111240147922,
+                    4513349101536551405,
+                    0,
+                    0,
+                    4524193975976911956,
+                    4699163713289060352,
+                    4683180662511894528,
+                    4703099002843824128,
+                    0,
+                    0,
+                    40,
+                    1200,
+                    8886092430231506597,
+                ],
+            ),
+            (
+                "3D f64 cluster",
+                |t| interp_sm_bits::<f64>(PointDist::Cluster, Shape::d3(24, 24, 16), 1200, 87, t),
+                [
+                    4537102268358187604,
+                    4536216824642649545,
+                    4509353207577496924,
+                    4504125159152722361,
+                    4517852701163921901,
+                    0,
+                    0,
+                    4524193975976911956,
+                    4693480062807179264,
+                    4682969556279361536,
+                    4703099002843824128,
+                    0,
+                    0,
+                    8,
+                    1200,
+                    4918770164091204402,
+                ],
+            ),
+        ];
+        for (what, run, want) in cases {
+            let serial = run(1);
+            assert_eq!(serial, want, "{what}");
+            assert_eq!(run(4), serial, "{what}: 4 host threads");
+        }
+    }
+
     #[test]
     fn no_atomics_in_interp() {
         let dev = Device::v100();

@@ -19,7 +19,7 @@
 use cufinufft::interp::interp_gm;
 use cufinufft::plan::GpuStageTimings;
 use cufinufft::spread::PtsRef;
-use gpu_sim::{Device, GpuBuffer, LaunchConfig, Precision};
+use gpu_sim::{Device, GpuBuffer, LaunchConfig, LaunchReport, Precision};
 use nufft_common::complex::Complex;
 use nufft_common::error::{NufftError, Result};
 use nufft_common::real::Real;
@@ -369,7 +369,7 @@ impl<T: Real> GpunufftPlan<T> {
 
     /// Output-driven adjoint gridding: one block per (sector, candidate
     /// chunk); each of the sector's cells checks every candidate point.
-    fn gather_gridding(&mut self) -> std::result::Result<(), gpu_sim::DeviceFault> {
+    fn gather_gridding(&mut self) -> std::result::Result<LaunchReport, gpu_sim::DeviceFault> {
         let pts = self.pts_host.as_ref().expect("points set");
         let sort = self.sort.as_ref().expect("points set");
         let fine = self.fine;
@@ -484,8 +484,7 @@ impl<T: Real> GpunufftPlan<T> {
             }
         }
         let _ = n3;
-        self.dev.launch_end(k);
-        Ok(())
+        Ok(self.dev.launch_end(k))
     }
 }
 
@@ -569,4 +568,161 @@ fn sector_clipped_footprint<T: Real, K: Kernel1d>(
         }
     }
     Some((cells, weights))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nufft_common::workload::{gen_points, gen_strengths, PointDist};
+
+    /// Every launch-report figure as bits, then an FNV-1a hash over the
+    /// bits of `grid`: a single array a pin can compare in one assert.
+    fn report_and_grid_bits<T: Real>(r: &LaunchReport, grid: &[Complex<T>]) -> [u64; 16] {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in grid.iter().flat_map(|z| [z.re.to_f64(), z.im.to_f64()]) {
+            h = (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3);
+        }
+        let d = &r.breakdown;
+        [
+            r.duration.to_bits(),
+            d.makespan.to_bits(),
+            d.l2.to_bits(),
+            d.dram.to_bits(),
+            d.compute.to_bits(),
+            d.atomic_hotspot.to_bits(),
+            d.atomic_ops.to_bits(),
+            d.overhead.to_bits(),
+            r.l2_bytes.to_bits(),
+            r.dram_bytes.to_bits(),
+            r.flops.to_bits(),
+            r.global_atomics,
+            r.atomic_hotspot_count,
+            r.blocks as u64,
+            grid.len() as u64,
+            h,
+        ]
+    }
+
+    /// Type-1 adjoint gridding of `m` points onto a zeroed fine grid.
+    fn gridding_bits<T: Real>(
+        dist: PointDist,
+        modes: &[usize],
+        m: usize,
+        seed: u64,
+        host_threads: usize,
+    ) -> [u64; 16] {
+        let dev = Device::v100();
+        dev.set_host_parallelism(host_threads);
+        let mut plan = GpunufftPlan::<T>::new(TransformType::Type1, modes, 1, 1e-3, &dev).unwrap();
+        let pts = gen_points::<T>(dist, modes.len(), m, plan.fine, seed);
+        plan.set_pts(&pts).unwrap();
+        plan.d_in = dev.alloc("gpunufft_in", m).unwrap();
+        dev.memcpy_htod(&mut plan.d_in, &gen_strengths::<T>(m, seed + 1))
+            .unwrap();
+        let r = plan.gather_gridding().unwrap();
+        report_and_grid_bits(&r, plan.d_grid.as_slice())
+    }
+
+    #[test]
+    fn adjoint_gridding_report_and_grid_are_pinned() {
+        // Full launch report and fine-grid bits of the type-1 gridding
+        // kernel, at 1 and 4 host threads, against values recorded from
+        // the serial block-accounting implementation.
+        type Case = (&'static str, fn(usize) -> [u64; 16], [u64; 16]);
+        let cases: [Case; 4] = [
+            (
+                "2D f32 rand",
+                |t| gridding_bits::<f32>(PointDist::Rand, &[24, 20], 800, 91, t),
+                [
+                    4532225688516013969,
+                    4530288377035156728,
+                    4509401866841736413,
+                    4494709611621133761,
+                    4522933007751159580,
+                    4512787814548873184,
+                    4501040032487033030,
+                    4524193975976911956,
+                    4693524318150197248,
+                    4673293853954932736,
+                    4712748729206046720,
+                    25600,
+                    124,
+                    30,
+                    1920,
+                    5418681556065701669,
+                ],
+            ),
+            (
+                "2D f64 cluster",
+                |t| gridding_bits::<f64>(PointDist::Cluster, &[20, 24], 800, 93, t),
+                [
+                    4541788503099912429,
+                    4541345781242143400,
+                    4502360985432598615,
+                    4494709611621133761,
+                    4527436607378530076,
+                    4525346233398732150,
+                    4501040032487033030,
+                    4524193975976911956,
+                    4686305474558033920,
+                    4673293853954932736,
+                    4712748729206046720,
+                    25600,
+                    872,
+                    18,
+                    1920,
+                    2155045403236233258,
+                ],
+            ),
+            (
+                "3D f32 cluster",
+                |t| gridding_bits::<f32>(PointDist::Cluster, &[8, 12, 8], 400, 95, t),
+                [
+                    4547477563686093132,
+                    4547256202757208617,
+                    4499916537425337835,
+                    4502254331310290391,
+                    4533469868247045613,
+                    4520955970566950525,
+                    4505543632114403526,
+                    4524193975976911956,
+                    4684082262046670848,
+                    4681008027535409152,
+                    4723460171483840512,
+                    51200,
+                    442,
+                    12,
+                    6144,
+                    6420396520783078181,
+                ],
+            ),
+            (
+                "3D f64 rand",
+                |t| gridding_bits::<f64>(PointDist::Rand, &[12, 8, 8], 400, 97, t),
+                [
+                    4550455122151727011,
+                    4550344441687284754,
+                    4509623704729635697,
+                    4506795541963160009,
+                    4537973467874416109,
+                    4507558508480427909,
+                    4505543632114403526,
+                    4524193975976911956,
+                    4693726078533894144,
+                    4685542413488357376,
+                    4723460171483840512,
+                    51200,
+                    56,
+                    12,
+                    6144,
+                    14269729462772126906,
+                ],
+            ),
+        ];
+        for (what, run, want) in cases {
+            let serial = run(1);
+            assert_eq!(serial, want, "{what}");
+            assert_eq!(run(4), serial, "{what}: 4 host threads");
+        }
+    }
 }
