@@ -255,9 +255,11 @@ pub fn interp_sm<T: Real, K: Kernel1d>(
     )?;
     let [n1, n2, n3] = fine.n;
     let half = (pad / 2) as i64;
-    let mut addrs = [0usize; 32];
-    for sp in subproblems {
-        let mut b = k.block();
+    // One block per subproblem; its points' values come back as a
+    // disjoint list of (j, value) writes applied in block-id order.
+    let body = |bid: usize, b: &mut BlockAcc<'_>| {
+        let sp = &subproblems[bid];
+        let mut addrs = [0usize; 32];
         let o = layout.origin(sp.bin as usize);
         let delta = [
             o[0] as i64 - half * (dim >= 1) as i64,
@@ -275,6 +277,7 @@ pub fn interp_sm<T: Real, K: Kernel1d>(
         }
         b.shared_ops(padded_cells as u64);
         let members = &perm[sp.start as usize..(sp.start + sp.len) as usize];
+        let mut writes: Vec<(usize, Complex<T>)> = Vec::with_capacity(members.len());
         for warp in members.chunks(32) {
             for arr in 0..dim {
                 for (l, &j) in warp.iter().enumerate() {
@@ -289,7 +292,7 @@ pub fn interp_sm<T: Real, K: Kernel1d>(
                 b.shared_reads((fp.wd[0] * fp.wd[1] * fp.wd[2]) as u64);
                 b.flops((fp.wd[0] * fp.wd[1] * fp.wd[2]) as u64 * 8);
                 // functional evaluation straight from the global grid
-                out[j as usize] = gather(grid, &fp, n1, n2);
+                writes.push((j as usize, gather(grid, &fp, n1, n2)));
             }
             // output writes
             for (l, &j) in warp.iter().enumerate() {
@@ -297,8 +300,13 @@ pub fn interp_sm<T: Real, K: Kernel1d>(
             }
             b.warp_access(&addrs[..warp.len()]);
         }
-        b.finish();
-    }
+        writes
+    };
+    k.run_blocks(subproblems.len(), body, |_bid, writes| {
+        for (j, v) in writes {
+            out[j] = v;
+        }
+    });
     Ok(dev.launch_end(k))
 }
 

@@ -3,7 +3,9 @@
 //!
 //! Kernels execute *functionally* as ordinary Rust code over buffer
 //! slices; while doing so they report their memory behaviour at warp
-//! granularity through [`BlockCtx`]. Traffic is tracked at two levels:
+//! granularity, one thread block at a time, through the [`BlockAcc`]
+//! that [`Kernel::run_blocks`] hands each block. Traffic is tracked at
+//! two levels:
 //!
 //! * **L2 transactions** — each warp-wide access is deduplicated into
 //!   32-byte sectors (hardware coalescing). All sectors pass through L2.
@@ -18,7 +20,7 @@
 //! sector — the term that makes clustered input-driven spreading
 //! collapse, exactly as the paper describes.
 //!
-//! At `finish()` the launch is priced as
+//! `Device::launch_end` prices the launch (through `Kernel::price`) as
 //! `max(makespan, L2, DRAM, compute, atomic-ops, hotspot) + overhead`,
 //! where makespan comes from list-scheduling per-block serial costs onto
 //! the SMs (the paper's `M_sub` load-balancing story).
@@ -28,8 +30,8 @@ use crate::props::{DeviceProps, Precision};
 use crate::sched::makespan;
 
 /// Launch configuration, the subset of CUDA's `<<<grid, block, shmem>>>`
-/// the cost model needs (grid size is implied by the number of
-/// [`Kernel::block`] calls).
+/// the cost model needs (grid size is the block count passed to
+/// [`Kernel::run_blocks`]).
 #[derive(Copy, Clone, Debug)]
 pub struct LaunchConfig {
     pub precision: Precision,
@@ -121,8 +123,8 @@ impl LineCache {
     }
 }
 
-/// An in-flight kernel launch. Create with `Device::kernel`, call
-/// [`Kernel::block`] once per thread block, then price via
+/// An in-flight kernel launch. Create with `Device::kernel`, run its
+/// thread blocks with [`Kernel::run_blocks`], then price via
 /// `Device::launch_end`.
 pub struct Kernel {
     pub(crate) name: String,
@@ -138,10 +140,6 @@ pub struct Kernel {
     elems_per_sector: usize,
     block_times: Vec<f64>,
     cache: LineCache,
-    // per-block shared-memory hotspot tracking (epoch trick: no clearing)
-    shared_epoch: Vec<u32>,
-    shared_count: Vec<u64>,
-    cur_epoch: u32,
     // shadow-memory access trace, present under HazardMode::Check
     access: Option<KernelTrace>,
     /// Host-side worker threads [`Kernel::run_blocks`] may use. Set by
@@ -161,7 +159,6 @@ impl std::fmt::Debug for Kernel {
 
 impl Kernel {
     pub(crate) fn new(name: &str, cfg: LaunchConfig, props: DeviceProps) -> Self {
-        let shared_words = cfg.shared_bytes_per_block / 4;
         let cache = LineCache::new(&props);
         Kernel {
             name: name.to_string(),
@@ -176,9 +173,6 @@ impl Kernel {
             elems_per_sector: 1,
             block_times: Vec::new(),
             cache,
-            shared_epoch: vec![0; shared_words],
-            shared_count: vec![0; shared_words],
-            cur_epoch: 0,
             access: None,
             host_threads: 1,
         }
@@ -186,7 +180,7 @@ impl Kernel {
 
     /// Attach a shadow-memory access trace to this launch (done by the
     /// device under [`crate::access::HazardMode::Check`]). Instrumented
-    /// kernels then log accesses through the `BlockCtx::trace_*` hooks.
+    /// kernels then log accesses through the `BlockAcc::trace_*` hooks.
     pub fn enable_access_trace(&mut self) {
         self.access = Some(KernelTrace::new(&self.name));
     }
@@ -198,7 +192,7 @@ impl Kernel {
     }
 
     /// Register a named buffer for access tracing. Returns a handle the
-    /// `BlockCtx::trace_*` hooks take; a no-op placeholder when tracing
+    /// `BlockAcc::trace_*` hooks take; a no-op placeholder when tracing
     /// is off.
     pub fn trace_buffer(&mut self, name: &str, scope: Scope, elem_bytes: usize) -> BufId {
         match &mut self.access {
@@ -214,27 +208,6 @@ impl Kernel {
         self.elems_per_sector = (self.props.sector_bytes / elem_bytes).max(1);
         let sectors = n_elems.div_ceil(self.elems_per_sector).max(1);
         self.atomic_hist = vec![0u64; sectors];
-    }
-
-    /// Begin accounting for one thread block.
-    pub fn block(&mut self) -> BlockCtx<'_> {
-        self.cur_epoch = self.cur_epoch.wrapping_add(1);
-        if self.cur_epoch == 0 {
-            self.shared_epoch.iter_mut().for_each(|e| *e = 0);
-            self.cur_epoch = 1;
-        }
-        let block_id = self.block_times.len() as u32;
-        BlockCtx {
-            block_id,
-            k: self,
-            flops: 0.0,
-            l2_sectors: 0,
-            dram_bytes: 0.0,
-            atomics: 0,
-            shared_atomics: 0,
-            shared_ops: 0,
-            shared_hotspot: 0,
-        }
     }
 
     /// Price the launch. Called by `Device::launch_end`. When an access
@@ -320,7 +293,7 @@ impl Kernel {
             line_bytes: self.props.line_bytes,
             elems_per_sector: self.elems_per_sector,
             hist_len: self.atomic_hist.len(),
-            shared_words: self.shared_epoch.len(),
+            shared_words: self.cfg.shared_bytes_per_block / 4,
             traced: self.access.is_some(),
         };
         let threads = if params.traced {
@@ -401,8 +374,9 @@ impl Kernel {
 
     /// Fold one block's private accumulator into the launch: replay its
     /// DRAM log through the shared line cache, replay traced accesses,
-    /// price the block with the same formulas as [`BlockCtx::finish`],
-    /// and accumulate launch-wide counters.
+    /// convert the block's counters into a serial cost (the slowest of
+    /// its compute, L2, DRAM, atomic and shared-memory terms at one SM's
+    /// share of each rate), and accumulate launch-wide counters.
     fn merge_block(&mut self, out: BlockOut) {
         let lb = self.props.line_bytes as f64;
         let mut dram_bytes = 0.0f64;
@@ -465,35 +439,6 @@ fn div_fast(a: usize, d: usize) -> usize {
     } else {
         a / d
     }
-}
-
-/// Count distinct 32-byte sectors among up to 32 lane addresses
-/// (hardware coalescing within one warp instruction).
-fn dedup_sectors(sector_bytes: usize, byte_addrs: &[usize]) -> u64 {
-    debug_assert!(byte_addrs.len() <= 32, "a warp has at most 32 lanes");
-    let mut ids = [usize::MAX; 32];
-    let n = byte_addrs.len().min(32);
-    if sector_bytes.is_power_of_two() {
-        let sh = sector_bytes.trailing_zeros();
-        for (slot, &a) in ids.iter_mut().zip(byte_addrs.iter()) {
-            *slot = a >> sh;
-        }
-    } else {
-        for (slot, &a) in ids.iter_mut().zip(byte_addrs.iter()) {
-            *slot = a / sector_bytes;
-        }
-    }
-    let ids = &mut ids[..n];
-    ids.sort_unstable();
-    let mut distinct = 0u64;
-    let mut prev = usize::MAX;
-    for &id in ids.iter() {
-        if id != prev {
-            distinct += 1;
-            prev = id;
-        }
-    }
-    distinct
 }
 
 /// One DRAM-side event logged by a [`BlockAcc`], replayed through the
@@ -576,7 +521,7 @@ impl WorkerScratch {
     }
 
     /// Exact count of distinct ids via the epoch-stamped probe table —
-    /// same result as sort+dedup ([`dedup_sectors`]), but without the
+    /// same result as sort+dedup, but without the
     /// per-warp-instruction sort that dominated simulated spread launches
     /// on the host profile.
     #[inline]
@@ -665,10 +610,11 @@ impl WorkerScratch {
     }
 }
 
-/// Per-block private accumulator used by [`Kernel::run_blocks`]. Mirrors
-/// the [`BlockCtx`] reporting API, but instead of mutating launch-wide
-/// state it counts locally and logs order-sensitive events (DRAM line
-/// touches, traced accesses) for deterministic replay at merge time.
+/// Accounting context for one thread block, handed to the body of
+/// [`Kernel::run_blocks`]: the only way a simulated kernel reports its
+/// work. Instead of mutating launch-wide state it counts locally and
+/// logs order-sensitive events (DRAM line touches, traced accesses) for
+/// deterministic replay at merge time.
 pub struct BlockAcc<'w> {
     params: AccParams,
     flops: f64,
@@ -735,13 +681,19 @@ impl<'w> BlockAcc<'w> {
         self.flops += n as f64;
     }
 
-    /// See [`BlockCtx::l2_access`].
+    /// One warp-wide access whose traffic stays at L2 level: its lane
+    /// addresses are deduplicated into sectors (hardware coalescing).
+    /// Cache reuse at DRAM level must be reported separately via
+    /// [`Self::dram_span`]. Used for the grid accesses of spread/interp
+    /// inner loops, whose footprint rows are reported to the line cache
+    /// once per row.
     pub fn l2_access(&mut self, byte_addrs: &[usize]) {
         self.l2_sectors += self.distinct_sectors(byte_addrs);
     }
 
-    /// [`dedup_sectors`] semantics through the worker's probe table
-    /// (identical count, no per-call sort).
+    /// Distinct sectors among up to 32 lane addresses, counted through
+    /// the worker's probe table (the count sort+dedup would give, without
+    /// a per-call sort).
     #[inline]
     fn distinct_sectors(&mut self, byte_addrs: &[usize]) -> u64 {
         debug_assert!(byte_addrs.len() <= 32, "a warp has at most 32 lanes");
@@ -791,8 +743,11 @@ impl<'w> BlockAcc<'w> {
         self.l2_sectors += sc.dedup_count;
     }
 
-    /// See [`BlockCtx::warp_access`]. Lane line touches are logged for
-    /// replay through the shared line cache at merge time.
+    /// One warp-wide access including its DRAM-side line traffic: each
+    /// lane's line is filtered through the L2 line model (logged here,
+    /// replayed through the shared line cache at merge time). Use for
+    /// scattered gathers such as reading point data through a sort
+    /// permutation.
     pub fn warp_access(&mut self, byte_addrs: &[usize]) {
         self.l2_sectors += self.distinct_sectors(byte_addrs);
         let lb = self.params.line_bytes;
@@ -801,14 +756,18 @@ impl<'w> BlockAcc<'w> {
         }
     }
 
-    /// See [`BlockCtx::stream_span`].
+    /// A contiguous byte span touched by the block (streaming access,
+    /// e.g. coalesced loads of consecutive point data): full L2 traffic
+    /// plus line-cache-filtered DRAM traffic.
     pub fn stream_span(&mut self, start_byte: usize, len_bytes: usize, write: bool) {
         let sb = self.params.sector_bytes;
         self.l2_sectors += len_bytes.div_ceil(sb) as u64;
         self.dram_span(start_byte, len_bytes, write);
     }
 
-    /// See [`BlockCtx::dram_span`].
+    /// Report a contiguous byte span to the DRAM line cache only (no L2
+    /// traffic; use when the L2-level cost was already counted via
+    /// [`Self::l2_access`]). Writes pay read+writeback on miss.
     pub fn dram_span(&mut self, start_byte: usize, len_bytes: usize, write: bool) {
         if len_bytes == 0 {
             return;
@@ -819,7 +778,9 @@ impl<'w> BlockAcc<'w> {
         self.dram_log.push(DramOp::Span { first, last, write });
     }
 
-    /// See [`BlockCtx::stream_bytes`].
+    /// Contiguous streaming traffic with no base address: full L2
+    /// traffic, and DRAM bytes charged as compulsory misses (the line
+    /// cache is not consulted).
     #[inline]
     pub fn stream_bytes(&mut self, bytes: usize) {
         let sb = self.params.sector_bytes;
@@ -827,14 +788,20 @@ impl<'w> BlockAcc<'w> {
         self.dram_log.push(DramOp::Flat(bytes as f64));
     }
 
-    /// See [`BlockCtx::global_atomic`].
+    /// One global atomic op landing on logical element `elem_idx` of the
+    /// declared atomic region. Pays the op-throughput term and feeds the
+    /// per-sector contention histogram. Its memory traffic must be
+    /// reported separately (`l2_access` + `dram_span`).
     #[inline]
     pub fn global_atomic(&mut self, elem_idx: usize) {
         self.global_atomic_n(elem_idx, 1);
     }
 
-    /// See [`BlockCtx::global_atomic_n`]. Tallies land in the worker's
-    /// private histogram, merged additively when the launch completes.
+    /// `n` global atomic ops landing on the same logical element. Bulk
+    /// form so synthetic huge-count tests (and batched accounting) need
+    /// not loop per op; counters are `u64` throughout, so multi-billion
+    /// tallies do not wrap. Tallies land in the worker's private
+    /// histogram, merged additively when the launch completes.
     #[inline]
     pub fn global_atomic_n(&mut self, elem_idx: usize, n: u64) {
         self.atomics += n;
@@ -846,7 +813,12 @@ impl<'w> BlockAcc<'w> {
         }
     }
 
-    /// See [`BlockCtx::global_atomic_run`].
+    /// `n_per_elem` atomic ops on each of `len` consecutive elements —
+    /// one call per contiguous footprint row instead of one per cell.
+    /// Totals (op count and per-sector histogram) are exactly what
+    /// per-element [`Self::global_atomic_n`] calls would produce; the
+    /// batching only removes per-cell call overhead from the simulated
+    /// spread hot loop.
     pub fn global_atomic_run(&mut self, start_elem: usize, len: usize, n_per_elem: u64) {
         if len == 0 {
             return;
@@ -866,7 +838,9 @@ impl<'w> BlockAcc<'w> {
         }
     }
 
-    /// See [`BlockCtx::shared_atomic`].
+    /// One shared-memory atomic add to 4-byte word `word_idx` of this
+    /// block's shared allocation. The hottest word's count sets the
+    /// block's same-address serialization term.
     #[inline]
     pub fn shared_atomic(&mut self, word_idx: usize) {
         self.shared_ops += 1;
@@ -883,210 +857,6 @@ impl<'w> BlockAcc<'w> {
         }
     }
 
-    /// See [`BlockCtx::shared_ops`].
-    #[inline]
-    pub fn shared_ops(&mut self, n: u64) {
-        self.shared_ops += n;
-    }
-
-    /// See [`BlockCtx::shared_reads`].
-    #[inline]
-    pub fn shared_reads(&mut self, n: u64) {
-        self.shared_ops += n / 4;
-    }
-
-    /// See [`BlockCtx::trace_read`]. Logged for ordered replay.
-    #[inline]
-    pub fn trace_read(&mut self, buf: BufId, thread: u32, elem: u64) {
-        if self.params.traced {
-            self.trace_log.push(TraceOp::Read(buf, thread, elem));
-        }
-    }
-
-    /// See [`BlockCtx::trace_write`].
-    #[inline]
-    pub fn trace_write(&mut self, buf: BufId, thread: u32, elem: u64) {
-        if self.params.traced {
-            self.trace_log.push(TraceOp::Write(buf, thread, elem));
-        }
-    }
-
-    /// See [`BlockCtx::trace_atomic`].
-    #[inline]
-    pub fn trace_atomic(&mut self, buf: BufId, thread: u32, elem: u64) {
-        if self.params.traced {
-            self.trace_log.push(TraceOp::Atomic(buf, thread, elem));
-        }
-    }
-
-    /// See [`BlockCtx::barrier`].
-    #[inline]
-    pub fn barrier(&mut self) {
-        if self.params.traced {
-            self.trace_log.push(TraceOp::Barrier);
-        }
-    }
-
-    /// Whether this launch carries an access trace.
-    #[inline]
-    pub fn access_traced(&self) -> bool {
-        self.params.traced
-    }
-}
-
-/// Accounting context for one thread block. Obtain via [`Kernel::block`],
-/// report the block's work, then call [`BlockCtx::finish`].
-pub struct BlockCtx<'a> {
-    k: &'a mut Kernel,
-    /// Sequential id of this block within the launch (used as the block
-    /// coordinate of traced accesses).
-    block_id: u32,
-    flops: f64,
-    l2_sectors: u64,
-    dram_bytes: f64,
-    atomics: u64,
-    shared_atomics: u64,
-    shared_ops: u64,
-    shared_hotspot: u64,
-}
-
-impl BlockCtx<'_> {
-    /// Report `n` floating-point operations (in the working precision).
-    #[inline]
-    pub fn flops(&mut self, n: u64) {
-        self.flops += n as f64;
-    }
-
-    /// Count distinct 32-byte sectors among up to 32 lane addresses
-    /// (hardware coalescing within one warp instruction).
-    fn dedup_sectors(&self, byte_addrs: &[usize]) -> u64 {
-        dedup_sectors(self.k.props.sector_bytes, byte_addrs)
-    }
-
-    /// One warp-wide access whose traffic stays at L2 level; cache reuse
-    /// at DRAM level must be reported separately via [`Self::dram_span`].
-    /// Used for the grid accesses of spread/interp inner loops, whose
-    /// footprint rows are reported to the line cache once per row.
-    pub fn l2_access(&mut self, byte_addrs: &[usize]) {
-        self.l2_sectors += self.dedup_sectors(byte_addrs);
-    }
-
-    /// One warp-wide access including its DRAM-side line traffic (each
-    /// lane's line filtered through the L2 model). Use for scattered
-    /// gathers such as reading point data through a sort permutation.
-    pub fn warp_access(&mut self, byte_addrs: &[usize]) {
-        self.l2_sectors += self.dedup_sectors(byte_addrs);
-        let lb = self.k.props.line_bytes;
-        for &a in byte_addrs {
-            if self.k.cache.touch((a / lb) as u64) {
-                self.dram_bytes += lb as f64;
-            }
-        }
-    }
-
-    /// A contiguous byte span touched by the block (streaming access,
-    /// e.g. coalesced loads of consecutive point data): full L2 traffic
-    /// plus line-cache-filtered DRAM traffic.
-    pub fn stream_span(&mut self, start_byte: usize, len_bytes: usize, write: bool) {
-        let sb = self.k.props.sector_bytes;
-        self.l2_sectors += len_bytes.div_ceil(sb) as u64;
-        self.dram_span(start_byte, len_bytes, write);
-    }
-
-    /// Report a contiguous byte span to the DRAM line cache only (no L2
-    /// traffic; use when the L2-level cost was already counted via
-    /// [`Self::l2_access`]). Writes pay read+writeback on miss.
-    pub fn dram_span(&mut self, start_byte: usize, len_bytes: usize, write: bool) {
-        if len_bytes == 0 {
-            return;
-        }
-        let lb = self.k.props.line_bytes;
-        let first = div_fast(start_byte, lb) as u64;
-        let last = div_fast(start_byte + len_bytes - 1, lb) as u64;
-        let factor = if write { 2.0 } else { 1.0 };
-        for line in first..=last {
-            if self.k.cache.touch(line) {
-                self.dram_bytes += lb as f64 * factor;
-            }
-        }
-    }
-
-    /// Legacy helper: contiguous streaming traffic with no base address
-    /// (assumed compulsory misses).
-    #[inline]
-    pub fn stream_bytes(&mut self, bytes: usize) {
-        let sb = self.k.props.sector_bytes;
-        self.l2_sectors += bytes.div_ceil(sb) as u64;
-        self.dram_bytes += bytes as f64;
-    }
-
-    /// One global atomic op landing on logical element `elem_idx` of the
-    /// declared atomic region. Pays the op-throughput term and feeds the
-    /// per-sector contention histogram. Its memory traffic must be
-    /// reported separately (`l2_access` + `dram_span`).
-    #[inline]
-    pub fn global_atomic(&mut self, elem_idx: usize) {
-        self.global_atomic_n(elem_idx, 1);
-    }
-
-    /// `n` global atomic ops landing on the same logical element. Bulk
-    /// form so synthetic huge-count tests (and batched accounting) need
-    /// not loop per op; counters are `u64` throughout, so multi-billion
-    /// tallies do not wrap.
-    #[inline]
-    pub fn global_atomic_n(&mut self, elem_idx: usize, n: u64) {
-        self.atomics += n;
-        if !self.k.atomic_hist.is_empty() {
-            let s = div_fast(elem_idx, self.k.elems_per_sector);
-            if let Some(c) = self.k.atomic_hist.get_mut(s) {
-                *c += n;
-            }
-        }
-    }
-
-    /// `n_per_elem` atomic ops on each of `len` consecutive elements —
-    /// one call per contiguous footprint row instead of one per cell.
-    /// Totals (op count and per-sector histogram) are exactly what
-    /// per-element [`Self::global_atomic_n`] calls would produce; the
-    /// batching only removes per-cell call overhead from the simulated
-    /// spread hot loop.
-    pub fn global_atomic_run(&mut self, start_elem: usize, len: usize, n_per_elem: u64) {
-        if len == 0 {
-            return;
-        }
-        self.atomics += len as u64 * n_per_elem;
-        if !self.k.atomic_hist.is_empty() {
-            let eps = self.k.elems_per_sector;
-            let first = div_fast(start_elem, eps);
-            let last = div_fast(start_elem + len - 1, eps);
-            for s in first..=last {
-                let lo = start_elem.max(s * eps);
-                let hi = (start_elem + len).min(s * eps + eps);
-                if let Some(c) = self.k.atomic_hist.get_mut(s) {
-                    *c += (hi - lo) as u64 * n_per_elem;
-                }
-            }
-        }
-    }
-
-    /// One shared-memory atomic add to 4-byte word `word_idx` of this
-    /// block's shared allocation.
-    #[inline]
-    pub fn shared_atomic(&mut self, word_idx: usize) {
-        self.shared_ops += 1;
-        self.shared_atomics += 1;
-        let k = &mut *self.k;
-        if word_idx < k.shared_epoch.len() {
-            if k.shared_epoch[word_idx] != k.cur_epoch {
-                k.shared_epoch[word_idx] = k.cur_epoch;
-                k.shared_count[word_idx] = 1;
-            } else {
-                k.shared_count[word_idx] += 1;
-            }
-            self.shared_hotspot = self.shared_hotspot.max(k.shared_count[word_idx]);
-        }
-    }
-
     /// Plain (non-atomic) shared-memory operations.
     #[inline]
     pub fn shared_ops(&mut self, n: u64) {
@@ -1100,28 +870,29 @@ impl BlockCtx<'_> {
         self.shared_ops += n / 4;
     }
 
-    /// Log a traced read on `buf` by `thread` of this block. No-op when
-    /// the launch carries no access trace.
+    /// Log a traced read on `buf` by `thread` of this block, replayed
+    /// into the launch's trace in block-id order. No-op when the launch
+    /// carries no access trace.
     #[inline]
     pub fn trace_read(&mut self, buf: BufId, thread: u32, elem: u64) {
-        if let Some(t) = &mut self.k.access {
-            t.read(buf, self.block_id, thread, elem);
+        if self.params.traced {
+            self.trace_log.push(TraceOp::Read(buf, thread, elem));
         }
     }
 
     /// Log a traced plain write on `buf` by `thread` of this block.
     #[inline]
     pub fn trace_write(&mut self, buf: BufId, thread: u32, elem: u64) {
-        if let Some(t) = &mut self.k.access {
-            t.write(buf, self.block_id, thread, elem);
+        if self.params.traced {
+            self.trace_log.push(TraceOp::Write(buf, thread, elem));
         }
     }
 
     /// Log a traced atomic on `buf` by `thread` of this block.
     #[inline]
     pub fn trace_atomic(&mut self, buf: BufId, thread: u32, elem: u64) {
-        if let Some(t) = &mut self.k.access {
-            t.atomic(buf, self.block_id, thread, elem);
+        if self.params.traced {
+            self.trace_log.push(TraceOp::Atomic(buf, thread, elem));
         }
     }
 
@@ -1130,8 +901,8 @@ impl BlockCtx<'_> {
     /// cost is charged, matching a contention-free barrier.)
     #[inline]
     pub fn barrier(&mut self) {
-        if let Some(t) = &mut self.k.access {
-            t.barrier(self.block_id);
+        if self.params.traced {
+            self.trace_log.push(TraceOp::Barrier);
         }
     }
 
@@ -1139,27 +910,7 @@ impl BlockCtx<'_> {
     /// [`Kernel::access_traced`]).
     #[inline]
     pub fn access_traced(&self) -> bool {
-        self.k.access.is_some()
-    }
-
-    /// Close the block: convert its counters into a serial cost.
-    pub fn finish(self) {
-        let p = &self.k.props;
-        let prec = self.k.cfg.precision;
-        let sm = p.sm_count as f64;
-        let t_compute = self.flops / p.sm_flops(prec);
-        let t_l2 = (self.l2_sectors * p.sector_bytes as u64) as f64 / (p.l2_bw / sm);
-        let t_dram = self.dram_bytes / (p.dram_bw / sm);
-        let t_atomic = self.atomics as f64 / (p.l2_atomic_rate / sm);
-        let t_shared = self.shared_ops as f64 / p.shared_ops_rate_per_sm
-            + self.shared_hotspot as f64 * p.t_shared_atomic_same;
-        let t_block = t_compute.max(t_l2).max(t_dram).max(t_atomic).max(t_shared);
-        self.k.flops += self.flops;
-        self.k.l2_sectors += self.l2_sectors;
-        self.k.dram_bytes += self.dram_bytes;
-        self.k.atomics += self.atomics;
-        self.k.shared_atomics += self.shared_atomics;
-        self.k.block_times.push(t_block);
+        self.params.traced
     }
 }
 
@@ -1171,24 +922,41 @@ mod tests {
         Kernel::new("test", cfg, DeviceProps::v100())
     }
 
+    /// Sort+dedup reference for the distinct-sector count of one warp's
+    /// lane addresses.
+    fn dedup_sectors(sector_bytes: usize, byte_addrs: &[usize]) -> u64 {
+        let mut ids: Vec<usize> = byte_addrs.iter().map(|&a| a / sector_bytes).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.len() as u64
+    }
+
     #[test]
     fn coalesced_warp_is_few_sectors() {
         let mut k = mk(LaunchConfig::new(Precision::Single, 128));
-        let mut b = k.block();
-        // 32 lanes reading 32 consecutive f32s: 128 B = 4 sectors
-        let addrs: Vec<usize> = (0..32).map(|i| i * 4).collect();
-        b.l2_access(&addrs);
-        b.finish();
+        k.run_blocks(
+            1,
+            |_, b| {
+                // 32 lanes reading 32 consecutive f32s: 128 B = 4 sectors
+                let addrs: Vec<usize> = (0..32).map(|i| i * 4).collect();
+                b.l2_access(&addrs);
+            },
+            |_, ()| {},
+        );
         assert_eq!(k.l2_sectors, 4);
     }
 
     #[test]
     fn scattered_warp_is_many_sectors() {
         let mut k = mk(LaunchConfig::new(Precision::Single, 128));
-        let mut b = k.block();
-        let addrs: Vec<usize> = (0..32).map(|i| i * 4096).collect();
-        b.l2_access(&addrs);
-        b.finish();
+        k.run_blocks(
+            1,
+            |_, b| {
+                let addrs: Vec<usize> = (0..32).map(|i| i * 4096).collect();
+                b.l2_access(&addrs);
+            },
+            |_, ()| {},
+        );
         assert_eq!(k.l2_sectors, 32);
     }
 
@@ -1202,28 +970,40 @@ mod tests {
             LaunchConfig::new(Precision::Single, 128),
             props.clone(),
         );
-        let mut b = k.block();
-        for _ in 0..100 {
-            b.dram_span(0, 4096, false);
-        }
-        b.finish();
+        k.run_blocks(
+            1,
+            |_, b| {
+                for _ in 0..100 {
+                    b.dram_span(0, 4096, false);
+                }
+            },
+            |_, ()| {},
+        );
         assert_eq!(k.dram_bytes, 4096.0f64.div_euclid(128.0) * 128.0);
         // scattered touches each cost a full line
         let mut k2 = Kernel::new("s", LaunchConfig::new(Precision::Single, 128), props);
-        let mut b = k2.block();
-        for i in 0..100usize {
-            b.dram_span(i * 1_000_000, 4, false);
-        }
-        b.finish();
+        k2.run_blocks(
+            1,
+            |_, b| {
+                for i in 0..100usize {
+                    b.dram_span(i * 1_000_000, 4, false);
+                }
+            },
+            |_, ()| {},
+        );
         assert_eq!(k2.dram_bytes, 100.0 * 128.0);
     }
 
     #[test]
     fn writes_pay_read_plus_writeback() {
         let mut k = mk(LaunchConfig::new(Precision::Single, 128));
-        let mut b = k.block();
-        b.dram_span(0, 128, true);
-        b.finish();
+        k.run_blocks(
+            1,
+            |_, b| {
+                b.dram_span(0, 128, true);
+            },
+            |_, ()| {},
+        );
         assert_eq!(k.dram_bytes, 256.0);
     }
 
@@ -1358,12 +1138,16 @@ mod tests {
     fn atomic_hotspot_tracks_worst_sector() {
         let mut k = mk(LaunchConfig::new(Precision::Single, 128));
         k.atomic_region(1024, 8);
-        let mut b = k.block();
-        for _ in 0..100 {
-            b.global_atomic(5);
-        }
-        b.global_atomic(900);
-        b.finish();
+        k.run_blocks(
+            1,
+            |_, b| {
+                for _ in 0..100 {
+                    b.global_atomic(5);
+                }
+                b.global_atomic(900);
+            },
+            |_, ()| {},
+        );
         let r = k.price().0;
         assert_eq!(r.global_atomics, 101);
         assert_eq!(r.atomic_hotspot_count, 100);
@@ -1378,12 +1162,16 @@ mod tests {
             props.clone(),
         );
         k.atomic_region(16, 8);
-        let mut b = k.block();
         let n = 1_000_000u32;
-        for _ in 0..n {
-            b.global_atomic(0);
-        }
-        b.finish();
+        k.run_blocks(
+            1,
+            |_, b| {
+                for _ in 0..n {
+                    b.global_atomic(0);
+                }
+            },
+            |_, ()| {},
+        );
         let r = k.price().0;
         let expect = n as f64 * props.t_global_atomic_same;
         assert!(r.breakdown.atomic_hotspot >= expect * 0.99);
@@ -1397,11 +1185,15 @@ mod tests {
             let cfg = LaunchConfig::new(Precision::Double, 128).with_cas_penalty(penalty);
             let mut k = Kernel::new("c", cfg, props.clone());
             k.atomic_region(16, 16);
-            let mut b = k.block();
-            for _ in 0..10_000 {
-                b.global_atomic(0);
-            }
-            b.finish();
+            k.run_blocks(
+                1,
+                |_, b| {
+                    for _ in 0..10_000 {
+                        b.global_atomic(0);
+                    }
+                },
+                |_, ()| {},
+            );
             k.price().0.breakdown.atomic_hotspot
         };
         assert!((run(16.0) / run(1.0) - 16.0).abs() < 1e-9);
@@ -1417,17 +1209,25 @@ mod tests {
             props.clone(),
         );
         kg.atomic_region(16, 8);
-        let mut bg = kg.block();
-        for _ in 0..100_000 {
-            bg.global_atomic(0);
-        }
-        bg.finish();
+        kg.run_blocks(
+            1,
+            |_, bg| {
+                for _ in 0..100_000 {
+                    bg.global_atomic(0);
+                }
+            },
+            |_, ()| {},
+        );
         let mut ks = Kernel::new("s", cfg, props);
-        let mut bs = ks.block();
-        for _ in 0..100_000 {
-            bs.shared_atomic(0);
-        }
-        bs.finish();
+        ks.run_blocks(
+            1,
+            |_, bs| {
+                for _ in 0..100_000 {
+                    bs.shared_atomic(0);
+                }
+            },
+            |_, ()| {},
+        );
         let tg = kg.price().0.duration;
         let ts = ks.price().0.duration;
         assert!(ts < tg / 3.0, "shared {ts} vs global {tg}");
@@ -1437,16 +1237,21 @@ mod tests {
     fn shared_hotspot_resets_between_blocks() {
         let cfg = LaunchConfig::new(Precision::Single, 128).with_shared(1024);
         let mut k = mk(cfg);
-        let mut b1 = k.block();
-        for _ in 0..50 {
-            b1.shared_atomic(3);
-        }
-        assert_eq!(b1.shared_hotspot, 50);
-        b1.finish();
-        let mut b2 = k.block();
-        b2.shared_atomic(3);
-        assert_eq!(b2.shared_hotspot, 1, "epoch must reset per block");
-        b2.finish();
+        k.run_blocks(
+            2,
+            |bid, b| {
+                if bid == 0 {
+                    for _ in 0..50 {
+                        b.shared_atomic(3);
+                    }
+                    assert_eq!(b.shared_hotspot, 50);
+                } else {
+                    b.shared_atomic(3);
+                    assert_eq!(b.shared_hotspot, 1, "epoch must reset per block");
+                }
+            },
+            |_, ()| {},
+        );
     }
 
     #[test]
@@ -1458,16 +1263,20 @@ mod tests {
             LaunchConfig::new(Precision::Single, 128),
             props.clone(),
         );
-        let mut b = k1.block();
-        b.flops(total_flops as u64);
-        b.finish();
+        k1.run_blocks(
+            1,
+            |_, b| {
+                b.flops(total_flops as u64);
+            },
+            |_, ()| {},
+        );
         let t_lump = k1.price().0.duration;
         let mut k2 = Kernel::new("split", LaunchConfig::new(Precision::Single, 128), props);
-        for _ in 0..800 {
-            let mut b = k2.block();
-            b.flops((total_flops / 800.0) as u64);
-            b.finish();
-        }
+        k2.run_blocks(
+            800,
+            |_, b| b.flops((total_flops / 800.0) as u64),
+            |_, ()| {},
+        );
         let t_split = k2.price().0.duration;
         assert!(t_split < t_lump / 10.0, "split {t_split} vs lump {t_lump}");
     }
@@ -1481,12 +1290,16 @@ mod tests {
             props.clone(),
         );
         k.atomic_region(1 << 20, 8);
-        let mut b = k.block();
-        // spread over many sectors: no hotspot, but op rate still binds
-        for i in 0..1_000_000usize {
-            b.global_atomic(i % (1 << 20));
-        }
-        b.finish();
+        k.run_blocks(
+            1,
+            |_, b| {
+                // spread over many sectors: no hotspot, but op rate still binds
+                for i in 0..1_000_000usize {
+                    b.global_atomic(i % (1 << 20));
+                }
+            },
+            |_, ()| {},
+        );
         let r = k.price().0;
         let expect = 1.0e6 / props.l2_atomic_rate;
         assert!(r.breakdown.atomic_ops >= expect * 0.99);
@@ -1502,9 +1315,13 @@ mod tests {
         let mut k = mk(LaunchConfig::new(Precision::Single, 128));
         k.atomic_region(16, 8);
         let huge = (u32::MAX as u64) + 5;
-        let mut b = k.block();
-        b.global_atomic_n(0, huge);
-        b.finish();
+        k.run_blocks(
+            1,
+            |_, b| {
+                b.global_atomic_n(0, huge);
+            },
+            |_, ()| {},
+        );
         let r = k.price().0;
         assert_eq!(r.global_atomics, huge);
         assert_eq!(r.atomic_hotspot_count, huge, "tally must not wrap");
@@ -1518,14 +1335,18 @@ mod tests {
         k.atomic_region(64, 8);
         let grid = k.trace_buffer("grid", Scope::Global, 4);
         let tile = k.trace_buffer("tile", Scope::Shared, 4);
-        let mut b = k.block();
-        b.global_atomic(3);
-        b.trace_atomic(grid, 0, 3);
-        b.shared_atomic(7);
-        b.trace_atomic(tile, 1, 7);
-        b.barrier();
-        b.trace_read(tile, 2, 7);
-        b.finish();
+        k.run_blocks(
+            1,
+            |_, b| {
+                b.global_atomic(3);
+                b.trace_atomic(grid, 0, 3);
+                b.shared_atomic(7);
+                b.trace_atomic(tile, 1, 7);
+                b.barrier();
+                b.trace_read(tile, 2, 7);
+            },
+            |_, ()| {},
+        );
         let (_, traced) = k.price();
         let (trace, contract) = traced.expect("trace attached");
         assert_eq!(trace.len(), 3);
@@ -1540,10 +1361,14 @@ mod tests {
         let mut k = mk(LaunchConfig::new(Precision::Single, 128));
         assert!(!k.access_traced());
         let buf = k.trace_buffer("grid", Scope::Global, 4);
-        let mut b = k.block();
-        b.trace_write(buf, 0, 0);
-        b.barrier();
-        b.finish();
+        k.run_blocks(
+            1,
+            |_, b| {
+                b.trace_write(buf, 0, 0);
+                b.barrier();
+            },
+            |_, ()| {},
+        );
         let (_, traced) = k.price();
         assert!(traced.is_none());
     }
@@ -1558,9 +1383,13 @@ mod tests {
         k.atomic_region(1024, 8);
         assert_eq!(k.atomic_hist.len(), 256);
         // Last element maps to the last sector, in range.
-        let mut b = k.block();
-        b.global_atomic(1023);
-        b.finish();
+        k.run_blocks(
+            1,
+            |_, b| {
+                b.global_atomic(1023);
+            },
+            |_, ()| {},
+        );
         let r = k.price().0;
         assert_eq!(r.atomic_hotspot_count, 1);
         // Non-dividing case still rounds up.
@@ -1572,22 +1401,6 @@ mod tests {
     /// Synthetic per-block workload exercising every accounting channel,
     /// with cross-block line reuse so the DRAM replay order matters.
     fn workload_acc(bid: usize, b: &mut BlockAcc<'_>) -> Vec<(usize, f64)> {
-        b.flops(1000 + bid as u64);
-        let addrs: Vec<usize> = (0..32).map(|i| (bid / 2) * 256 + i * 8).collect();
-        b.warp_access(&addrs);
-        b.dram_span(bid * 100, 512, bid.is_multiple_of(3));
-        b.stream_bytes(96);
-        for j in 0..(bid % 7 + 1) {
-            b.global_atomic((bid * 13 + j) % 64);
-        }
-        b.shared_atomic(bid % 16);
-        b.shared_atomic(bid % 16);
-        b.shared_ops(5);
-        b.shared_reads(8);
-        vec![(bid, bid as f64 * 0.5), (bid + 1, 1.0)]
-    }
-
-    fn workload_ctx(bid: usize, b: &mut BlockCtx<'_>) -> Vec<(usize, f64)> {
         b.flops(1000 + bid as u64);
         let addrs: Vec<usize> = (0..32).map(|i| (bid / 2) * 256 + i * 8).collect();
         b.warp_access(&addrs);
@@ -1637,31 +1450,6 @@ mod tests {
     }
 
     #[test]
-    fn run_blocks_serial_matches_legacy_block_api_bitwise() {
-        let n_blocks = 64;
-        let (par_report, par_sink) = run_workload(1, n_blocks);
-        // Same workload through the legacy serial block()/finish() API.
-        let cfg = LaunchConfig::new(Precision::Single, 128).with_shared(1024);
-        let mut k = mk(cfg);
-        k.atomic_region(256, 8);
-        let mut sink = vec![0.0f64; n_blocks + 1];
-        for bid in 0..n_blocks {
-            let mut b = k.block();
-            let deltas = workload_ctx(bid, &mut b);
-            b.finish();
-            for (i, v) in deltas {
-                sink[i] += v;
-            }
-        }
-        let legacy = k.price().0;
-        assert_reports_identical(&legacy, &par_report);
-        assert_eq!(legacy.blocks, n_blocks);
-        for (a, b) in sink.iter().zip(par_sink.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn run_blocks_parallel_is_bitwise_identical_to_serial() {
         let n_blocks = 97; // odd count: uneven work distribution
         let (serial, s_sink) = run_workload(1, n_blocks);
@@ -1702,9 +1490,13 @@ mod tests {
     #[test]
     fn stream_bytes_counts_both_levels() {
         let mut k = mk(LaunchConfig::new(Precision::Single, 128));
-        let mut b = k.block();
-        b.stream_bytes(33);
-        b.finish();
+        k.run_blocks(
+            1,
+            |_, b| {
+                b.stream_bytes(33);
+            },
+            |_, ()| {},
+        );
         assert_eq!(k.l2_sectors, 2);
         assert_eq!(k.dram_bytes, 33.0);
     }

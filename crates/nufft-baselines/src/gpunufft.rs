@@ -372,9 +372,10 @@ impl<T: Real> GpunufftPlan<T> {
     fn gather_gridding(&mut self) -> std::result::Result<LaunchReport, gpu_sim::DeviceFault> {
         let pts = self.pts_host.as_ref().expect("points set");
         let sort = self.sort.as_ref().expect("points set");
+        let kernel = &self.kernel;
         let fine = self.fine;
         let dim = self.modes.dim;
-        let [n1, n2, n3] = fine.n;
+        let [n1, n2, _] = fine.n;
         let cb = std::mem::size_of::<Complex<T>>();
         let prec = if T::IS_DOUBLE {
             Precision::Double
@@ -391,7 +392,9 @@ impl<T: Real> GpunufftPlan<T> {
         k.atomic_region(fine.total(), cb);
         let nsec = sort.nsec;
         let total_sectors = nsec[0] * nsec[1] * nsec[2];
-        let neighbors = |s: usize| -> Vec<usize> {
+        // a sector's candidates: the points of its periodic 3^d
+        // neighbourhood, as one slice of the sector sort per neighbour
+        let candidates = |s: usize| -> Vec<&[u32]> {
             let s1 = s % nsec[0];
             let r = s / nsec[0];
             let (s2, s3) = (r % nsec[1], r / nsec[1]);
@@ -412,78 +415,92 @@ impl<T: Real> GpunufftPlan<T> {
             for a3 in span(s3, nsec[2]) {
                 for a2 in span(s2, nsec[1]) {
                     for a1 in span(s1, nsec[0]) {
-                        out.push(a1 + nsec[0] * (a2 + nsec[1] * a3));
+                        let nb = a1 + nsec[0] * (a2 + nsec[1] * a3);
+                        out.push(
+                            &sort.perm[sort.starts[nb] as usize..sort.starts[nb + 1] as usize],
+                        );
                     }
                 }
             }
             out
         };
-        let mut addrs = [0usize; 32];
-        for sec in 0..total_sectors {
-            // candidate list: all points of the 3^d sector neighbourhood
-            let mut candidates: Vec<u32> = Vec::new();
-            for nb in neighbors(sec) {
-                candidates.extend_from_slice(
-                    &sort.perm[sort.starts[nb] as usize..sort.starts[nb + 1] as usize],
-                );
-            }
-            if candidates.is_empty() {
-                continue;
+        // (sector, chunk) blocks in sector order; empty sectors launch none
+        let blocks: Vec<(usize, usize)> = (0..total_sectors)
+            .flat_map(|sec| {
+                let n: usize = candidates(sec).iter().map(|c| c.len()).sum();
+                (0..n.div_ceil(CHUNK)).map(move |c| (sec, c))
+            })
+            .collect();
+        let prf = PtsRef {
+            coords: [&pts.coords[0], &pts.coords[1], &pts.coords[2]],
+            dim,
+        };
+        // Each block returns its (cell, delta) adds, applied to the grid
+        // in block-id order and, within a block, in candidate order.
+        let body = |bid: usize, b: &mut gpu_sim::BlockAcc<'_>| {
+            let (sec, c) = blocks[bid];
+            // candidates c*CHUNK.. of the sector's neighbourhood list
+            let mut chunk: Vec<u32> = Vec::with_capacity(CHUNK);
+            let mut skip = c * CHUNK;
+            for part in candidates(sec) {
+                let from = skip.min(part.len());
+                skip -= from;
+                let take = (part.len() - from).min(CHUNK - chunk.len());
+                chunk.extend_from_slice(&part[from..from + take]);
             }
             // sector cell origin
             let s1 = sec % nsec[0];
             let r = sec / nsec[0];
             let (s2, s3) = (r % nsec[1], r / nsec[1]);
             let o = [s1 * SECTOR_WIDTH, s2 * SECTOR_WIDTH, s3 * SECTOR_WIDTH];
-            for chunk in candidates.chunks(CHUNK) {
-                let mut b = k.block();
-                // candidate point loads (scattered gathers)
-                for warp in chunk.chunks(32) {
-                    for arr in 0..dim + 1 {
-                        for (l, &j) in warp.iter().enumerate() {
-                            addrs[l] = j as usize * T::BYTES + arr * 7919; // distinct arrays
-                        }
-                        b.warp_access(&addrs[..warp.len()]);
+            let mut addrs = [0usize; 32];
+            // candidate point loads (scattered gathers)
+            for warp in chunk.chunks(32) {
+                for arr in 0..dim + 1 {
+                    for (l, &j) in warp.iter().enumerate() {
+                        addrs[l] = j as usize * T::BYTES + arr * 7919; // distinct arrays
                     }
+                    b.warp_access(&addrs[..warp.len()]);
                 }
-                // every (cell, candidate) pair pays distance computation
-                // in all axes plus the in-range test (gpuNUFFT computes
-                // these per pair; no tensor-product factorization)
-                let checked = cells_per_sector as u64 * chunk.len() as u64;
-                b.flops(checked * 24);
-                // functional + accepted-pair accounting via footprints
-                let mut accepted = 0u64;
-                for &jr in chunk {
-                    let j = jr as usize;
-                    let prf = PtsRef {
-                        coords: [&pts.coords[0], &pts.coords[1], &pts.coords[2]],
-                        dim,
-                    };
-                    let fp = sector_clipped_footprint(&self.kernel, fine, &prf, j, o, dim);
-                    if let Some((cells, weights)) = fp {
-                        accepted += cells.len() as u64;
-                        let c = strengths[j];
-                        for (cell, wgt) in cells.iter().zip(weights.iter()) {
-                            grid[*cell] += c.scale(T::from_f64(*wgt));
-                            b.global_atomic(*cell);
-                            b.global_atomic(*cell);
-                        }
-                    }
-                }
-                // accepted pairs additionally pay per-axis LUT fetches
-                // and the complex multiply-accumulate
-                b.flops(accepted * 80);
-                // sector-region writes: contiguous rows of the sector
-                for c3 in 0..if dim >= 3 { SECTOR_WIDTH } else { 1 } {
-                    for c2 in 0..if dim >= 2 { SECTOR_WIDTH } else { 1 } {
-                        let base = (o[2] + c3) * n1 * n2 + (o[1] + c2) * n1 + o[0];
-                        b.stream_span(base * cb, SECTOR_WIDTH * cb, true);
-                    }
-                }
-                b.finish();
             }
-        }
-        let _ = n3;
+            // every (cell, candidate) pair pays distance computation
+            // in all axes plus the in-range test (gpuNUFFT computes
+            // these per pair; no tensor-product factorization)
+            let checked = cells_per_sector as u64 * chunk.len() as u64;
+            b.flops(checked * 24);
+            // functional + accepted-pair accounting via footprints
+            let mut accepted = 0u64;
+            let mut deltas: Vec<(usize, Complex<T>)> = Vec::new();
+            for &jr in &chunk {
+                let j = jr as usize;
+                let fp = sector_clipped_footprint(kernel, fine, &prf, j, o, dim);
+                if let Some((cells, weights)) = fp {
+                    accepted += cells.len() as u64;
+                    let c = strengths[j];
+                    for (cell, wgt) in cells.iter().zip(weights.iter()) {
+                        deltas.push((*cell, c.scale(T::from_f64(*wgt))));
+                        b.global_atomic(*cell);
+                        b.global_atomic(*cell);
+                    }
+                }
+            }
+            // accepted pairs additionally pay per-axis LUT fetches
+            // and the complex multiply-accumulate
+            b.flops(accepted * 80);
+            // sector-region writes: contiguous rows of the sector
+            for c3 in 0..if dim >= 3 { SECTOR_WIDTH } else { 1 } {
+                for c2 in 0..if dim >= 2 { SECTOR_WIDTH } else { 1 } {
+                    let base = (o[2] + c3) * n1 * n2 + (o[1] + c2) * n1 + o[0];
+                    b.stream_span(base * cb, SECTOR_WIDTH * cb, true);
+                }
+            }
+            deltas
+        };
+        k.run_blocks(blocks.len(), body, |_bid, deltas| {
+            for (cell, v) in deltas {
+                grid[cell] += v;
+            }
+        });
         Ok(self.dev.launch_end(k))
     }
 }
