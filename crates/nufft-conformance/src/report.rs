@@ -26,6 +26,7 @@
 //! the SM shared-memory feasibility limit of paper Remark 2).
 
 use crate::{CellResult, Outcome, Tier};
+use nufft_trace::chrome::escape;
 
 /// Aggregated result of a conformance run.
 pub struct Report {
@@ -84,7 +85,7 @@ impl Report {
         s.push_str("  \"cells\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             s.push_str("    {");
-            s.push_str(&format!("\"name\": \"{}\", ", json_escape(&r.cell.name())));
+            s.push_str(&format!("\"name\": \"{}\", ", escape(&r.cell.name())));
             s.push_str(&format!(
                 "\"type\": \"{}\", ",
                 match r.cell.ttype {
@@ -126,7 +127,7 @@ impl Report {
                 Outcome::Fail => s.push_str("\"outcome\": \"fail\""),
                 Outcome::Skip(reason) => s.push_str(&format!(
                     "\"outcome\": \"skip\", \"reason\": \"{}\"",
-                    json_escape(reason)
+                    escape(reason)
                 )),
             }
             s.push('}');
@@ -168,18 +169,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -239,8 +228,8 @@ mod tests {
 
     #[test]
     fn escape_handles_quotes_and_control() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use std::fmt;
 
+use nufft_trace::chrome::escape;
 use nufft_trace::TraceReport;
 
 use crate::server::ServeStats;
@@ -277,7 +278,7 @@ impl ServeReport {
         let breaches: Vec<String> = self
             .breaches
             .iter()
-            .map(|b| format!("\"{}\"", b.replace('\\', "\\\\").replace('"', "\\\"")))
+            .map(|b| format!("\"{}\"", escape(b)))
             .collect();
         format!(
             concat!(
