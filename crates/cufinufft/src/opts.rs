@@ -270,7 +270,8 @@ impl Geometry {
     /// budget is `tuning.shared_mem_budget.min(shared_cap)`, with
     /// `shared_cap` the device's shared memory per block. Fails on a bad
     /// dimension or mode size, a tolerance or sigma outside the kernel
-    /// rule, and an explicit SM request that does not fit
+    /// rule, a mode or fine-grid point count that overflows `usize`
+    /// (`BadModes`), and an explicit SM request that does not fit
     /// (`MethodUnavailable`).
     pub fn resolve(
         modes: &[usize],
@@ -289,7 +290,19 @@ impl Geometry {
         }
         let kernel = EsKernel::for_upsampfac(eps, tuning.upsampfac, precision == Precision::F64)?;
         let modes = Shape::from_slice(modes);
+        if modes.checked_total().is_none() {
+            return Err(NufftError::BadModes(format!(
+                "{:?} modes overflow usize",
+                &modes.n[..modes.dim]
+            )));
+        }
         let fine = modes.map(|_, n| fine_grid_size_with(n, tuning.upsampfac, kernel.w, sizing));
+        if fine.checked_total().is_none() {
+            return Err(NufftError::BadModes(format!(
+                "fine grid {:?} overflows usize",
+                &fine.n[..fine.dim]
+            )));
+        }
         let bin_size = tuning
             .bin_size
             .unwrap_or_else(|| default_bin_size(modes.dim));

@@ -611,6 +611,26 @@ fn builder_validates_options() {
 }
 
 #[test]
+fn oversized_grids_are_typed_errors_not_wrapped_sizes() {
+    // [1<<22; 3] overflows in its mode count, [1<<21; 3] only in its
+    // 2^22-cubed fine grid, [usize::MAX/2, 3] in its mode count before
+    // any fine sizing: each must be refused at once, not built over a
+    // wrapped (or capacity-overflowing) grid size.
+    let dev = Device::v100();
+    for modes in [vec![1 << 22; 3], vec![1 << 21; 3], vec![usize::MAX / 2, 3]] {
+        let t0 = std::time::Instant::now();
+        let r = Plan::<f32>::builder(TransformType::Type1, &modes).build(&dev);
+        assert!(
+            matches!(r, Err(NufftError::BadModes(_))),
+            "{modes:?}: {:?}",
+            r.err()
+        );
+        let dt = t0.elapsed().as_secs_f64();
+        assert!(dt < 1.0, "{modes:?} took {dt} s to refuse");
+    }
+}
+
+#[test]
 fn spec_constructor_builds_plans() {
     use nufft_common::spec::{Precision, TransformSpec};
     let dev = Device::v100();

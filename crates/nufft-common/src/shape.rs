@@ -49,6 +49,13 @@ impl Shape {
         self.n[0] * self.n[1] * self.n[2]
     }
 
+    /// Total number of grid points, or `None` when the product
+    /// overflows `usize`.
+    #[inline]
+    pub fn checked_total(&self) -> Option<usize> {
+        self.n[0].checked_mul(self.n[1])?.checked_mul(self.n[2])
+    }
+
     /// Row-major-in-x strides: element `(l1,l2,l3)` lives at
     /// `l1 + n1*(l2 + n2*l3)`.
     #[inline]
@@ -112,6 +119,13 @@ mod tests {
         let s = Shape::d2(5, 7);
         assert_eq!(s.total(), 35);
         assert_eq!(s.n[2], 1);
+        assert_eq!(Shape::d3(4, 3, 2).checked_total(), Some(24));
+        assert_eq!(
+            Shape::d3(1 << 21, 1 << 21, 1 << 21).checked_total(),
+            Some(1 << 63)
+        );
+        assert_eq!(Shape::d3(1 << 22, 1 << 22, 1 << 22).checked_total(), None);
+        assert_eq!(Shape::d2(usize::MAX / 2, 3).checked_total(), None);
     }
 
     #[test]
