@@ -521,9 +521,8 @@ impl WorkerScratch {
     }
 
     /// Exact count of distinct ids via the epoch-stamped probe table —
-    /// same result as sort+dedup, but without the
-    /// per-warp-instruction sort that dominated simulated spread launches
-    /// on the host profile.
+    /// same result as sort+dedup, but without the per-warp-instruction
+    /// sort that dominated simulated spread launches on the host profile.
     #[inline]
     fn count_distinct(&mut self, ids: impl Iterator<Item = usize>) -> u64 {
         debug_assert!(self.dedup.len() >= 64, "room for 32 lanes at half load");

@@ -58,9 +58,12 @@ fi
 
 # Parallel block execution (DESIGN.md §5l): the simulator's host thread
 # pool must be bitwise-invisible. The fixed serial-vs-parallel matrix
-# (gpu-sim unit tests + full-plan par_equiv) runs in the workspace pass
-# above and again here explicitly; PAR=full widens par_equiv to the
-# multi-seed, all-methods sweep.
+# lives in three places: the gpu-sim unit tests (run_blocks at 1-8
+# threads), the full-plan par_equiv suite, and the interp_sm / gpuNUFFT
+# gridding guards (cufinufft and nufft-baselines unit tests, pinned
+# reports at 1 and 4 threads). All three run in the workspace pass
+# above; par_equiv runs again here explicitly, and PAR=full widens it
+# to the multi-seed, all-methods sweep.
 if [[ "${PAR:-quick}" == "full" ]]; then
   echo "== PAR=full multi-seed parallel-equivalence sweep"
   PAR=full cargo test -q -p cufinufft --test par_equiv
