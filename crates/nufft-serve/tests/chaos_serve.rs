@@ -24,6 +24,8 @@ use nufft_serve::{
 };
 use nufft_trace::Trace;
 
+mod common;
+
 const N: usize = 24;
 const M: usize = 400;
 
@@ -151,6 +153,7 @@ fn breaker_opens_fast_fails_and_recovers_bit_exact() {
     let recovered = server.submit(&spec, &pts, input).unwrap().wait().unwrap();
     assert_eq!(recovered, baseline, "recovery must be bit-exact");
     assert_eq!(server.stats().open_breakers, 0, "trial success closes");
+    common::assert_stats_match_trace(&server.stats(), &trace.report());
 }
 
 #[test]
@@ -334,6 +337,7 @@ fn worker_panic_respawns_and_recovers_to_healthy() {
     assert_eq!(trace.report().counters["serve.worker_respawn"], 1);
     // availability back over threshold: the verdict transitions healthy
     assert_eq!(server.report_with(slo).health, Health::Healthy);
+    common::assert_stats_match_trace(&server.stats(), &trace.report());
 }
 
 #[test]

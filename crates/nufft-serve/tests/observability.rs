@@ -14,6 +14,8 @@ use nufft_serve::{Health, NufftServer, RequestId, ServeConfig, SloThresholds};
 use nufft_trace::bench::BenchReport;
 use nufft_trace::{Trace, TraceReport};
 
+mod common;
+
 const M: usize = 500;
 const REQUESTS: u64 = 60;
 
@@ -329,6 +331,7 @@ fn overload_counters_export_and_report_json_round_trips() {
         Some(report.stats.shed as f64)
     );
     assert_ne!(doc.get("health").and_then(|v| v.as_str()), Some("healthy"));
+    common::assert_stats_match_trace(&server.stats(), &trace.report());
     server.shutdown();
 }
 

@@ -15,6 +15,8 @@ use nufft_serve::{
 };
 use nufft_trace::Trace;
 
+mod common;
+
 const N: usize = 24;
 const M: usize = 400;
 
@@ -151,6 +153,7 @@ fn cache_evicts_lru_spec_at_capacity_and_rebuilds() {
     assert_eq!(stats.cache_hits, 0);
     assert_eq!(stats.cache_evictions, 2);
     assert_eq!(trace.report().spans_named("plan.build").len(), 4);
+    common::assert_stats_match_trace(&server.stats(), &trace.report());
 }
 
 // ---------------------------------------------------------------------
@@ -514,6 +517,7 @@ fn deadline_expiring_in_queue_resolves_typed_without_device_work() {
     let stats = server.stats();
     assert_eq!(stats.deadline_exceeded, 1);
     assert_eq!(stats.completed, 0);
+    common::assert_stats_match_trace(&server.stats(), &trace.report());
 }
 
 #[test]
@@ -546,6 +550,7 @@ fn cancelled_request_resolves_cancelled_without_device_work() {
         1,
         "only the surviving request planned"
     );
+    common::assert_stats_match_trace(&server.stats(), &trace.report());
 }
 
 // ---------------------------------------------------------------------
