@@ -16,8 +16,14 @@ use nufft_common::Shape;
 fn cpu_time(task: &RankTask, model: &CpuModel) -> f64 {
     let n = task.n_grid;
     let modes = Shape::d3(n, n, n);
-    let fine = modes.map(|_, v| nufft_common::smooth::fine_grid_size(v, 2.0, 13));
     let w = 13; // eps = 1e-12 double
+    let fine = nufft_common::smooth::fine_grid_shape(
+        modes,
+        2.0,
+        w,
+        nufft_common::smooth::FineSizing::Smooth,
+    )
+    .expect("mtip grids fit in usize");
     let per = match task.ttype {
         nufft_common::TransformType::Type1 => {
             model.type1_exec(task.m, w, modes, fine, CpuPrecision::Double)

@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 
 use gpu_sim::Device;
+use nufft_common::smooth::{fine_grid_shape, FineSizing};
 use nufft_common::workload::{gen_points, gen_strengths, PointDist, Points};
 use nufft_common::{Complex, NufftPlan, Real, Shape, TransformType};
 use nufft_trace::bench::BenchReport;
@@ -304,9 +305,9 @@ pub fn finufft_model_times<T: Real>(
     } else {
         finufft_cpu::CpuPrecision::Single
     };
-    let kernel =
-        nufft_kernels::EsKernel::for_tolerance(eps, T::IS_DOUBLE).expect("tolerance in range");
-    let fine = modes.map(|_, n| nufft_common::smooth::fine_grid_size(n, 2.0, kernel.w));
+    let (kernel, fine) = nufft_kernels::EsKernel::for_tolerance(eps, T::IS_DOUBLE)
+        .and_then(|k| Ok((k, fine_grid_shape(modes, 2.0, k.w, FineSizing::Smooth)?)))
+        .expect("tolerance in range and fine grid fits");
     let exec = match ttype {
         TransformType::Type1 => model.type1_exec(m, kernel.w, modes, fine, prec),
         TransformType::Type2 => model.type2_exec(m, kernel.w, modes, fine, prec),

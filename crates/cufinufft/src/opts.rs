@@ -12,7 +12,7 @@ use crate::recovery::RecoveryPolicy;
 use gpu_sim::{HazardMode, Trace};
 use nufft_common::error::{NufftError, Result};
 use nufft_common::shape::Shape;
-use nufft_common::smooth::{fine_grid_size_with, FineSizing};
+use nufft_common::smooth::{fine_grid_shape, FineSizing};
 use nufft_common::spec::Precision;
 use nufft_kernels::EsKernel;
 // Method and ModeOrder are part of a transform's semantic identity and
@@ -296,13 +296,7 @@ impl Geometry {
                 &modes.n[..modes.dim]
             )));
         }
-        let fine = modes.map(|_, n| fine_grid_size_with(n, tuning.upsampfac, kernel.w, sizing));
-        if fine.checked_total().is_none() {
-            return Err(NufftError::BadModes(format!(
-                "fine grid {:?} overflows usize",
-                &fine.n[..fine.dim]
-            )));
-        }
+        let fine = fine_grid_shape(modes, tuning.upsampfac, kernel.w, sizing)?;
         let bin_size = tuning
             .bin_size
             .unwrap_or_else(|| default_bin_size(modes.dim));
@@ -327,6 +321,34 @@ impl Geometry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn huge_1d_modes_size_fast_or_refuse_typed() {
+        let resolve = |modes: &[usize]| {
+            let t0 = std::time::Instant::now();
+            let r = Geometry::resolve(
+                modes,
+                1e-6,
+                Precision::F32,
+                Method::Gm,
+                FineSizing::Smooth,
+                &Tuning::default(),
+                49_152,
+            );
+            let dt = t0.elapsed().as_secs_f64();
+            assert!(dt < 1.0, "{modes:?} took {dt} s to resolve");
+            r
+        };
+        // sigma * n past usize: refused, not wrapped to a tiny grid
+        assert!(matches!(
+            resolve(&[usize::MAX / 2]),
+            Err(NufftError::BadModes(_))
+        ));
+        // a 2^45 dimension sizes its smooth fine grid at once
+        let g = resolve(&[(1 << 45) + 1, 1]).expect("fine grid fits");
+        assert!(g.fine.n[0] > 1 << 46);
+        assert!(nufft_common::smooth::is_smooth(g.fine.n[0]));
+    }
 
     #[test]
     fn paper_bin_defaults() {

@@ -132,7 +132,9 @@ impl<T: Real> GpuType3Plan<T> {
                 .fold(0.0f64, f64::max)
                 .max(1e-3);
             let target = (sigma * 2.0 * xw * sw / std::f64::consts::PI).ceil() as usize + 2 * w;
-            nfs[i] = next_smooth(target.max(2 * w + 2));
+            nfs[i] = next_smooth(target.max(2 * w + 2)).ok_or_else(|| {
+                NufftError::BadModes(format!("type-3 fine grid {target} overflows usize"))
+            })?;
             gamma[i] = nfs[i] as f64 / (2.0 * sigma * sw);
         }
         let nf = Shape::from_slice(&nfs);

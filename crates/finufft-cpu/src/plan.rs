@@ -9,7 +9,7 @@ use nufft_common::complex::Complex;
 use nufft_common::error::{NufftError, Result};
 use nufft_common::real::Real;
 use nufft_common::shape::{freq_to_bin, freqs, Shape};
-use nufft_common::smooth::{fine_grid_size_with, FineSizing};
+use nufft_common::smooth::{fine_grid_shape, FineSizing};
 use nufft_common::workload::Points;
 use nufft_fft::{Direction, FftNd};
 use nufft_kernels::{EsKernel, EvalKernel, Kernel1d, KernelEval};
@@ -135,8 +135,7 @@ impl<T: Real, K: Kernel1d> Plan<T, K> {
             )));
         }
         let modes = Shape::from_slice(modes);
-        let fine = modes
-            .map(|_, n| fine_grid_size_with(n, opts.upsampfac, kernel.width(), opts.fine_sizing));
+        let fine = fine_grid_shape(modes, opts.upsampfac, kernel.width(), opts.fine_sizing)?;
         let corr = correction_rows(&kernel, modes, fine);
         let fft = FftNd::new(fine);
         let nthreads = if opts.nthreads == 0 {

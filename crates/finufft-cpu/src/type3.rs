@@ -118,7 +118,9 @@ impl<T: Real> Type3Plan<T> {
         for i in 0..self.dim {
             let target =
                 (sigma * 2.0 * xw[i] * sw[i] / std::f64::consts::PI).ceil() as usize + 2 * w;
-            nfs[i] = next_smooth(target.max(2 * w + 2));
+            nfs[i] = next_smooth(target.max(2 * w + 2)).ok_or_else(|| {
+                NufftError::BadModes(format!("type-3 fine grid {target} overflows usize"))
+            })?;
             gamma[i] = nfs[i] as f64 / (2.0 * sigma * sw[i]);
             // ensure x'/gamma stays at least w/2 cells from the boundary
             let h = std::f64::consts::TAU / nfs[i] as f64;

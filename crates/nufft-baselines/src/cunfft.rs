@@ -26,7 +26,7 @@ use nufft_common::complex::Complex;
 use nufft_common::error::{NufftError, Result};
 use nufft_common::real::Real;
 use nufft_common::shape::{freq_to_bin, freqs, Shape};
-use nufft_common::smooth::fine_grid_size;
+use nufft_common::smooth::{fine_grid_shape, FineSizing};
 use nufft_common::workload::Points;
 use nufft_common::TransformType;
 use nufft_fft::Direction;
@@ -88,7 +88,7 @@ impl<T: Real> CunfftPlan<T> {
         let sigma = 2.0;
         let kernel = GaussianKernel::for_tolerance(eps, sigma);
         let modes = Shape::from_slice(modes);
-        let fine = modes.map(|_, n| fine_grid_size(n, sigma, kernel.w));
+        let fine = fine_grid_shape(modes, sigma, kernel.w, FineSizing::Smooth)?;
         let corr = correction_rows(&kernel, modes, fine);
         let fft = gpu_fft::GpuFftPlan::new(fine);
         let t0 = dev.clock();

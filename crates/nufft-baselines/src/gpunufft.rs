@@ -24,7 +24,7 @@ use nufft_common::complex::Complex;
 use nufft_common::error::{NufftError, Result};
 use nufft_common::real::Real;
 use nufft_common::shape::Shape;
-use nufft_common::smooth::fine_grid_size;
+use nufft_common::smooth::{fine_grid_shape, FineSizing};
 use nufft_common::workload::Points;
 use nufft_common::TransformType;
 use nufft_fft::Direction;
@@ -157,11 +157,9 @@ impl<T: Real> GpunufftPlan<T> {
         let kb = KaiserBesselKernel::for_tolerance(eps, sigma);
         let kernel = LutKernel::new(kb);
         let modes = Shape::from_slice(modes);
-        let fine = modes.map(|_, n| {
-            // sector tiling requires fine sizes to be sector multiples
-            let base = fine_grid_size(n, sigma, kernel.width());
-            base.div_ceil(SECTOR_WIDTH) * SECTOR_WIDTH
-        });
+        // sector tiling requires fine sizes to be sector multiples
+        let fine = fine_grid_shape(modes, sigma, kernel.width(), FineSizing::Smooth)?
+            .map(|_, n| n.div_ceil(SECTOR_WIDTH) * SECTOR_WIDTH);
         let corr = correction_rows(&kernel, modes, fine);
         let fft = gpu_fft::GpuFftPlan::new(fine);
         let t0 = dev.clock();

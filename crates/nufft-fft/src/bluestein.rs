@@ -39,7 +39,9 @@ pub struct Bluestein<T> {
 impl<T: Real> Bluestein<T> {
     pub fn new(n: usize) -> Self {
         assert!(n >= 2);
-        let m = next_smooth(2 * n - 1);
+        let Some(m) = next_smooth(2 * n - 1) else {
+            panic!("Bluestein size {n}: no 5-smooth padding fits in usize");
+        };
         // j^2 mod 2n keeps the angle argument exact for huge j.
         let chirp: Vec<Complex<f64>> = (0..n)
             .map(|j| {

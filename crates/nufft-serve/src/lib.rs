@@ -24,8 +24,11 @@
 //! * **Admission control and backpressure**: a bounded queue refuses
 //!   overflow with [`NufftError::QueueFull`](nufft_common::NufftError)
 //!   ([`NufftServer::submit`]) or parks the producer
-//!   ([`NufftServer::submit_wait`]); depth/peak gauges and `serve.*`
-//!   counters export through the `nufft-trace` Prometheus dump.
+//!   ([`NufftServer::submit_wait`]). Every statistic is an always-on
+//!   `serve.*` counter, gauge or histogram: [`NufftServer::stats`] and
+//!   [`NufftServer::report`] read them with or without a trace, and an
+//!   attached trace exports them through the `nufft-trace` Prometheus
+//!   dump.
 //! * **Fault isolation**: device faults ride each plan's recovery
 //!   layer; an unrecovered fault fails only the affected requests with
 //!   a typed [`NufftError::Request`](nufft_common::NufftError) chain

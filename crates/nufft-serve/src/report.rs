@@ -1,7 +1,7 @@
 //! SLO summary and health verdict over a running [`NufftServer`].
 //!
-//! [`ServeReport`] condenses the server's cumulative [`ServeStats`] and
-//! (when a trace is attached) the `serve.*` histograms into the four
+//! [`ServeReport`] condenses the server's `serve.*` metrics (the
+//! cumulative [`ServeStats`] and the `serve.*` histograms) into the four
 //! signals an operator watches: **availability** (fraction of finished
 //! requests that succeeded), **latency** (end-to-end submit→fulfill
 //! quantiles), **saturation** (queue-depth quantiles against capacity),
@@ -15,7 +15,7 @@
 use std::fmt;
 
 use nufft_trace::chrome::escape;
-use nufft_trace::TraceReport;
+use nufft_trace::MetricSnapshot;
 
 use crate::server::ServeStats;
 
@@ -77,7 +77,7 @@ impl SloThresholds {
 }
 
 /// Latency quantile summary in seconds; `None` when the corresponding
-/// histogram recorded no samples (e.g. no trace attached).
+/// histogram recorded no samples.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct LatencySummary {
     pub p50: Option<f64>,
@@ -87,8 +87,8 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    fn from_hist(report: Option<&TraceReport>, name: &str) -> LatencySummary {
-        let Some(h) = report.and_then(|r| r.histograms.get(name)) else {
+    fn from_hist(metrics: &MetricSnapshot, name: &str) -> LatencySummary {
+        let Some(h) = metrics.histograms.get(name) else {
             return LatencySummary::default();
         };
         LatencySummary {
@@ -114,7 +114,9 @@ pub struct ServeReport {
     /// Cache hits / (hits + misses); `1.0` before any lookup.
     pub cache_hit_ratio: f64,
     /// Recovered / (recovered + unrecovered) device faults from the
-    /// `recovery.*` counters; `1.0` when no faults occurred.
+    /// `recovery.*` counters; `1.0` when no faults occurred. The
+    /// server's plans write those counters only into an attached trace,
+    /// so without one this stays `1.0`.
     pub recovery_rate: f64,
     /// Device-fault retries observed (`recovery.retries`).
     pub fault_retries: u64,
@@ -148,34 +150,27 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-fn counter(report: Option<&TraceReport>, name: &str) -> u64 {
-    report
-        .and_then(|r| r.counters.get(name))
-        .copied()
-        .map(|v| v.max(0) as u64)
-        .unwrap_or(0)
-}
-
 impl ServeReport {
     /// Assemble a report from a stats snapshot, the server's queue
-    /// capacity, and (optionally) the attached trace's report.
+    /// capacity, and the metric snapshot that holds the `serve.*`
+    /// histograms and `recovery.*` counters.
     pub fn build(
         stats: ServeStats,
         queue_capacity: usize,
-        trace: Option<&TraceReport>,
+        metrics: &MetricSnapshot,
         slo: SloThresholds,
     ) -> ServeReport {
         let availability = ratio(stats.completed, stats.completed + stats.failed);
         let admission_ratio = ratio(stats.accepted, stats.accepted + stats.rejected);
         let cache_hit_ratio = ratio(stats.cache_hits, stats.cache_hits + stats.cache_misses);
-        let recovered = counter(trace, "recovery.recovered");
-        let unrecovered = counter(trace, "recovery.unrecovered");
+        let recovered = metrics.counter("recovery.recovered");
+        let unrecovered = metrics.counter("recovery.unrecovered");
         let recovery_rate = ratio(recovered, recovered + unrecovered);
-        let fault_retries = counter(trace, "recovery.retries");
+        let fault_retries = metrics.counter("recovery.retries");
 
-        let latency = LatencySummary::from_hist(trace, "serve.latency");
-        let queue_wait = LatencySummary::from_hist(trace, "serve.queue_wait");
-        let queue_depth = LatencySummary::from_hist(trace, "serve.queue_depth_hist");
+        let latency = LatencySummary::from_hist(metrics, "serve.latency");
+        let queue_wait = LatencySummary::from_hist(metrics, "serve.queue_wait");
+        let queue_depth = LatencySummary::from_hist(metrics, "serve.queue_depth_hist");
         let saturation = match queue_depth.p90 {
             Some(d) if queue_capacity > 0 => d / queue_capacity as f64,
             _ => 0.0,
@@ -411,6 +406,11 @@ mod tests {
     use super::*;
     use nufft_trace::Trace;
 
+    /// Metrics with nothing recorded.
+    fn none() -> MetricSnapshot {
+        MetricSnapshot::default()
+    }
+
     fn stats(completed: u64, failed: u64) -> ServeStats {
         ServeStats {
             accepted: completed + failed,
@@ -422,7 +422,7 @@ mod tests {
 
     #[test]
     fn empty_server_is_healthy() {
-        let r = ServeReport::build(ServeStats::default(), 64, None, SloThresholds::default());
+        let r = ServeReport::build(ServeStats::default(), 64, &none(), SloThresholds::default());
         assert_eq!(r.health, Health::Healthy);
         assert_eq!(r.availability, 1.0);
         assert_eq!(r.latency.p99, None);
@@ -431,7 +431,7 @@ mod tests {
 
     #[test]
     fn failures_breach_availability_and_mark_unhealthy() {
-        let r = ServeReport::build(stats(90, 10), 64, None, SloThresholds::default());
+        let r = ServeReport::build(stats(90, 10), 64, &none(), SloThresholds::default());
         assert_eq!(r.health, Health::Unhealthy);
         assert!((r.availability - 0.9).abs() < 1e-12);
         assert_eq!(r.breaches.len(), 1);
@@ -448,8 +448,8 @@ mod tests {
         for _ in 0..5 {
             h.observe(10.0);
         }
-        let report = trace.report();
-        let r = ServeReport::build(stats(100, 0), 64, Some(&report), SloThresholds::default());
+        let metrics = trace.metrics();
+        let r = ServeReport::build(stats(100, 0), 64, &metrics, SloThresholds::default());
         assert_eq!(r.health, Health::Degraded);
         assert!(r.breaches[0].contains("p99 latency"));
     }
@@ -461,8 +461,8 @@ mod tests {
         for _ in 0..20 {
             h.observe(60.0);
         }
-        let report = trace.report();
-        let r = ServeReport::build(stats(20, 0), 64, Some(&report), SloThresholds::default());
+        let metrics = trace.metrics();
+        let r = ServeReport::build(stats(20, 0), 64, &metrics, SloThresholds::default());
         assert!(r.saturation > 0.8, "saturation = {}", r.saturation);
         assert_eq!(r.health, Health::Degraded);
     }
@@ -473,15 +473,15 @@ mod tests {
         trace.counter("recovery.recovered").add(3);
         trace.counter("recovery.unrecovered").add(1);
         trace.counter("recovery.retries").add(5);
-        let report = trace.report();
-        let r = ServeReport::build(stats(4, 0), 64, Some(&report), SloThresholds::default());
+        let metrics = trace.metrics();
+        let r = ServeReport::build(stats(4, 0), 64, &metrics, SloThresholds::default());
         assert!((r.recovery_rate - 0.75).abs() < 1e-12);
         assert_eq!(r.fault_retries, 5);
     }
 
     #[test]
     fn display_renders_the_dashboard_lines() {
-        let r = ServeReport::build(stats(0, 1), 64, None, SloThresholds::default());
+        let r = ServeReport::build(stats(0, 1), 64, &none(), SloThresholds::default());
         let text = r.to_string();
         assert!(text.contains("serve health: unhealthy"));
         assert!(text.contains("availability 0.0000"));
@@ -497,7 +497,7 @@ mod tests {
             completed: 80,
             ..ServeStats::default()
         };
-        let r = ServeReport::build(s, 64, None, SloThresholds::default());
+        let r = ServeReport::build(s, 64, &none(), SloThresholds::default());
         assert!((r.shed_rate - 0.2).abs() < 1e-12);
         assert_eq!(r.health, Health::Degraded);
         assert!(r.breaches.iter().any(|b| b.contains("shed rate")));
@@ -511,7 +511,7 @@ mod tests {
             open_breakers: 2,
             ..ServeStats::default()
         };
-        let r = ServeReport::build(s, 64, None, SloThresholds::default());
+        let r = ServeReport::build(s, 64, &none(), SloThresholds::default());
         assert_eq!(r.health, Health::Degraded);
         assert!(r.breaches.iter().any(|b| b.contains("circuit breaker")));
     }
@@ -526,7 +526,7 @@ mod tests {
             open_breakers: 1,
             ..ServeStats::default()
         };
-        let r = ServeReport::build(s, 64, None, SloThresholds::default());
+        let r = ServeReport::build(s, 64, &none(), SloThresholds::default());
         assert_eq!(r.health, Health::Unhealthy);
         assert!(r.breaches.len() >= 3);
     }
@@ -542,7 +542,7 @@ mod tests {
             open_breakers: 1,
             ..ServeStats::default()
         };
-        let r = ServeReport::build(s, 8, None, SloThresholds::default());
+        let r = ServeReport::build(s, 8, &none(), SloThresholds::default());
         let json = r.to_json();
         let parsed = nufft_trace::json::Json::parse(&json).expect("report JSON parses");
         assert_eq!(

@@ -51,7 +51,7 @@ use gpu_sim::Device;
 use nufft_common::{
     Complex, ModeOrder, NufftError, NufftPlan, Points, Precision, Real, Result, TransformSpec,
 };
-use nufft_trace::{Trace, REQUEST_ID_ARG};
+use nufft_trace::{MetricSnapshot, Trace, REQUEST_ID_ARG};
 
 use crate::breaker::{BreakerDecision, BreakerPolicy, BreakerSet, Brownout};
 use crate::future::{Response, ResponseCell};
@@ -179,9 +179,11 @@ pub struct ServeConfig {
     pub breaker: BreakerPolicy,
     /// Worker restart budget (see [`SupervisorPolicy`](crate::SupervisorPolicy)).
     pub supervisor: SupervisorPolicy,
-    /// Optional trace session: plans record their lifecycle spans here
-    /// and the server exports `serve.*` counters and queue gauges
-    /// (Prometheus text via `TraceReport::prometheus`).
+    /// Optional trace session: plans and requests record their spans
+    /// here, and the server's `serve.*` metrics live in it (Prometheus
+    /// text via `TraceReport::prometheus`). Without one, the server
+    /// keeps the same metrics in a private session and records no
+    /// spans.
     pub trace: Option<Trace>,
     /// Optional fault-injection hook run before every chunk launch.
     pub chaos_hook: Option<ChaosHook>,
@@ -230,15 +232,20 @@ impl ServeConfig {
         self.recovery.validate()
     }
 
-    /// Attach a trace session (see [`ServeConfig::trace`]).
+    /// Attach a trace session (see [`ServeConfig::trace`]). One trace
+    /// attached to two servers sums their `serve.*` metrics, so each
+    /// server's [`NufftServer::stats`] then reads the total.
     pub fn with_trace(mut self, trace: &Trace) -> Self {
         self.trace = Some(trace.clone());
         self
     }
 }
 
-/// Cumulative serving statistics, also mirrored as `serve.*` trace
-/// counters when a trace is attached.
+/// Cumulative serving statistics: a snapshot view of the server's
+/// `serve.*` metrics, which are their only record. Each field reads the
+/// counter named after it (`cache_hits` reads `serve.cache_hit`, and so
+/// on); `open_breakers` reads the gauge `serve.breaker_state` and
+/// `peak_queue_depth` the gauge `serve.queue_peak`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests admitted to the queue.
@@ -290,6 +297,35 @@ pub struct ServeStats {
     pub peak_queue_depth: usize,
 }
 
+impl ServeStats {
+    /// Read the statistics out of a `serve.*` metric snapshot.
+    pub(crate) fn from_metrics(m: &MetricSnapshot) -> ServeStats {
+        ServeStats {
+            accepted: m.counter("serve.accepted"),
+            rejected: m.counter("serve.rejected"),
+            shed: m.counter("serve.shed"),
+            deadline_exceeded: m.counter("serve.deadline_exceeded"),
+            cancelled: m.counter("serve.cancelled"),
+            completed: m.counter("serve.completed"),
+            failed: m.counter("serve.failed"),
+            cache_hits: m.counter("serve.cache_hit"),
+            cache_misses: m.counter("serve.cache_miss"),
+            cache_evictions: m.counter("serve.cache_evict"),
+            quarantined: m.counter("serve.quarantine"),
+            breaker_opens: m.counter("serve.breaker_open"),
+            breaker_fastfails: m.counter("serve.breaker_fastfail"),
+            brownouts: m.counter("serve.brownout"),
+            worker_panics: m.counter("serve.worker_panic"),
+            worker_respawns: m.counter("serve.worker_respawn"),
+            open_breakers: m.gauge("serve.breaker_state") as usize,
+            setpts_reuses: m.counter("serve.setpts_reuse"),
+            batches: m.counter("serve.batches"),
+            coalesced: m.counter("serve.coalesced"),
+            peak_queue_depth: m.gauge("serve.queue_peak") as usize,
+        }
+    }
+}
+
 /// Request metadata that rides beside the payload through the queue:
 /// identity for trace correlation, submit time for latency/queue-wait
 /// histograms, optional deadline in simulated seconds.
@@ -307,6 +343,29 @@ struct Payload<T: Real> {
     points: Arc<Points<T>>,
     input: Vec<Complex<T>>,
     cell: Arc<ResponseCell<T>>,
+}
+
+impl<T: Real> Payload<T> {
+    /// Resolve the request now, without device work, if it was
+    /// cancelled or its deadline passed by `now` (simulated seconds);
+    /// returns whether it is still live. Counts before it fulfills.
+    fn still_live(&self, shared: &Shared, now: f64) -> bool {
+        if self.cell.is_cancelled() {
+            shared.metrics.counter("serve.cancelled").inc();
+            self.cell.fulfill(Err(NufftError::Cancelled));
+            return false;
+        }
+        match self.meta.deadline {
+            Some(deadline) if now >= deadline => {
+                shared.metrics.counter("serve.deadline_exceeded").inc();
+                shared.metrics.counter("serve.failed").inc();
+                self.cell
+                    .fulfill(Err(NufftError::DeadlineExceeded { deadline, now }));
+                false
+            }
+            _ => true,
+        }
+    }
 }
 
 /// Precision-erased payload so one queue and one worker serve both
@@ -344,6 +403,13 @@ impl AnyPayload {
         match self {
             AnyPayload::F32(p) => p.cell.is_cancelled(),
             AnyPayload::F64(p) => p.cell.is_cancelled(),
+        }
+    }
+
+    fn still_live(&self, shared: &Shared, now: f64) -> bool {
+        match self {
+            AnyPayload::F32(p) => p.still_live(shared, now),
+            AnyPayload::F64(p) => p.still_live(shared, now),
         }
     }
 
@@ -504,7 +570,12 @@ impl ShedWindow {
 /// State shared between the client-facing handle and the worker.
 pub(crate) struct Shared {
     pub(crate) queue: Queue<QueuedRequest>,
-    stats: Mutex<ServeStats>,
+    /// The one record of every `serve.*` counter, gauge and histogram:
+    /// the attached trace, or else a private session that only ever
+    /// holds metrics (it is never activated or handed to a plan, so it
+    /// records no spans).
+    pub(crate) metrics: Trace,
+    /// The attached trace, for request spans and plan tracing.
     trace: Option<Trace>,
     next_id: AtomicU64,
     shed_window: Mutex<ShedWindow>,
@@ -515,18 +586,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn count(&self, name: &str, delta: i64) {
-        if let Some(t) = &self.trace {
-            t.counter(name).add(delta);
-        }
-    }
-
-    fn observe(&self, name: &str, v: f64) {
-        if let Some(t) = &self.trace {
-            t.histogram(name).observe(v);
-        }
-    }
-
     /// Record a completed request-lifecycle interval (admission, queue
     /// wait, execution) carrying the request's correlation id.
     fn request_span(&self, name: &str, id: RequestId, start: Instant, end: Instant) {
@@ -542,127 +601,26 @@ impl Shared {
     }
 
     fn depth_gauges(&self, depth: usize) {
-        {
-            let mut s = self.stats.lock().unwrap();
-            s.peak_queue_depth = s.peak_queue_depth.max(depth);
-        }
-        if let Some(t) = &self.trace {
-            t.gauge("serve.queue_depth").set(depth as f64);
-            t.gauge("serve.queue_peak").max(depth as f64);
-            t.histogram("serve.queue_depth_hist").observe(depth as f64);
-        }
+        let depth = depth as f64;
+        self.metrics.gauge("serve.queue_depth").set(depth);
+        self.metrics.gauge("serve.queue_peak").max(depth);
+        self.metrics
+            .histogram("serve.queue_depth_hist")
+            .observe(depth);
     }
 
-    fn note_accept(&self, depth: usize) {
-        self.stats.lock().unwrap().accepted += 1;
-        self.count("serve.accepted", 1);
+    /// Count a request into the queue at `depth` and record its
+    /// admission span.
+    fn admitted(&self, meta: ReqMeta, depth: usize) {
+        self.metrics.counter("serve.accepted").inc();
         self.depth_gauges(depth);
+        self.request_span("serve.admit", meta.id, meta.submitted, Instant::now());
     }
 
-    fn note_reject(&self) {
-        self.stats.lock().unwrap().rejected += 1;
-        self.count("serve.rejected", 1);
-    }
-
-    fn note_shed(&self) {
-        self.stats.lock().unwrap().shed += 1;
-        self.count("serve.shed", 1);
-    }
-
-    fn note_deadline(&self, n: usize) {
-        self.stats.lock().unwrap().deadline_exceeded += n as u64;
-        self.count("serve.deadline_exceeded", n as i64);
-    }
-
-    fn note_cancelled(&self, n: usize) {
-        self.stats.lock().unwrap().cancelled += n as u64;
-        self.count("serve.cancelled", n as i64);
-    }
-
-    fn note_completed(&self, n: usize) {
-        self.stats.lock().unwrap().completed += n as u64;
-        self.count("serve.completed", n as i64);
-    }
-
-    pub(crate) fn note_failed(&self, n: usize) {
-        self.stats.lock().unwrap().failed += n as u64;
-        self.count("serve.failed", n as i64);
-    }
-
-    fn note_cache_hit(&self) {
-        self.stats.lock().unwrap().cache_hits += 1;
-        self.count("serve.cache_hit", 1);
-    }
-
-    fn note_cache_miss(&self) {
-        self.stats.lock().unwrap().cache_misses += 1;
-        self.count("serve.cache_miss", 1);
-    }
-
-    fn note_cache_evict(&self) {
-        self.stats.lock().unwrap().cache_evictions += 1;
-        self.count("serve.cache_evict", 1);
-    }
-
-    fn note_quarantine(&self) {
-        self.stats.lock().unwrap().quarantined += 1;
-        self.count("serve.quarantine", 1);
-    }
-
-    fn note_breaker_open(&self) {
-        self.stats.lock().unwrap().breaker_opens += 1;
-        self.count("serve.breaker_open", 1);
-    }
-
-    fn note_breaker_fastfail(&self, n: usize) {
-        self.stats.lock().unwrap().breaker_fastfails += n as u64;
-        self.count("serve.breaker_fastfail", n as i64);
-    }
-
-    fn note_brownout(&self, n: usize) {
-        self.stats.lock().unwrap().brownouts += n as u64;
-        self.count("serve.brownout", n as i64);
-    }
-
-    pub(crate) fn note_worker_panic(&self) {
-        self.stats.lock().unwrap().worker_panics += 1;
-        self.count("serve.worker_panic", 1);
-    }
-
-    pub(crate) fn note_worker_respawn(&self) {
-        self.stats.lock().unwrap().worker_respawns += 1;
-        self.count("serve.worker_respawn", 1);
-    }
-
-    fn set_breaker_gauge(&self, open: usize) {
-        self.stats.lock().unwrap().open_breakers = open;
-        if let Some(t) = &self.trace {
-            t.gauge("serve.breaker_state").set(open as f64);
-        }
-    }
-
-    fn note_setpts_reuse(&self) {
-        self.stats.lock().unwrap().setpts_reuses += 1;
-        self.count("serve.setpts_reuse", 1);
-    }
-
-    fn note_batch(&self, b: usize) {
-        let mut s = self.stats.lock().unwrap();
-        s.batches += 1;
-        if b > 1 {
-            s.coalesced += b as u64;
-        }
-        drop(s);
-        self.count("serve.batches", 1);
-        if b > 1 {
-            self.count("serve.coalesced", b as i64);
-        }
-    }
-
-    /// Record a queue-wait sample in both the trace histogram and the
-    /// shed controller's window.
+    /// Record a queue-wait sample in both the `serve.queue_wait`
+    /// histogram and the shed controller's window.
     fn observe_queue_wait(&self, v: f64) {
-        self.observe("serve.queue_wait", v);
+        self.metrics.histogram("serve.queue_wait").observe(v);
         self.shed_window.lock().unwrap().push(v);
     }
 
@@ -700,7 +658,7 @@ impl NufftServer {
         config.validate()?;
         let shared = Arc::new(Shared {
             queue: Queue::new(config.queue_capacity),
-            stats: Mutex::new(ServeStats::default()),
+            metrics: config.trace.clone().unwrap_or_default(),
             trace: config.trace.clone(),
             next_id: AtomicU64::new(1),
             shed_window: Mutex::new(ShedWindow::new()),
@@ -755,7 +713,7 @@ impl NufftServer {
             .shed_limit(&self.config.shed, self.config.queue_capacity);
         let depth = self.shared.queue.len();
         if depth >= limit && limit < self.config.queue_capacity {
-            self.shared.note_shed();
+            self.shared.metrics.counter("serve.shed").inc();
             return Err(NufftError::Overloaded {
                 depth,
                 limit,
@@ -766,13 +724,11 @@ impl NufftServer {
         let meta = req.payload.meta();
         match self.shared.queue.try_push(req) {
             Ok(depth) => {
-                self.shared.note_accept(depth);
-                self.shared
-                    .request_span("serve.admit", meta.id, meta.submitted, Instant::now());
+                self.shared.admitted(meta, depth);
                 Ok(response)
             }
             Err(PushError::Full { depth }) => {
-                self.shared.note_reject();
+                self.shared.metrics.counter("serve.rejected").inc();
                 Err(NufftError::QueueFull {
                     depth,
                     capacity: self.config.queue_capacity,
@@ -810,9 +766,7 @@ impl NufftServer {
         let meta = req.payload.meta();
         match self.shared.queue.push_wait(req) {
             Ok(depth) => {
-                self.shared.note_accept(depth);
-                self.shared
-                    .request_span("serve.admit", meta.id, meta.submitted, Instant::now());
+                self.shared.admitted(meta, depth);
                 Ok(response)
             }
             Err(_) => Err(NufftError::Shutdown),
@@ -825,10 +779,13 @@ impl NufftServer {
         if let Some(deadline) = opts.deadline {
             let now = self.dev.clock();
             if now >= deadline {
-                self.shared.note_deadline(1);
+                self.shared.metrics.counter("serve.deadline_exceeded").inc();
                 return Err(NufftError::DeadlineExceeded { deadline, now });
             }
-            self.shared.observe("serve.deadline_slack", deadline - now);
+            self.shared
+                .metrics
+                .histogram("serve.deadline_slack")
+                .observe(deadline - now);
         }
         Ok(())
     }
@@ -904,25 +861,24 @@ impl NufftServer {
         self.shared.queue.len()
     }
 
-    /// Snapshot of the cumulative serving statistics.
+    /// Snapshot of the cumulative serving statistics, read from the
+    /// server's `serve.*` metrics.
     pub fn stats(&self) -> ServeStats {
-        self.shared.stats.lock().unwrap().clone()
+        ServeStats::from_metrics(&self.shared.metrics.metrics())
     }
 
     /// SLO/health summary judged against [`SloThresholds::default`].
-    /// Latency/saturation quantiles are populated only when the server
-    /// was started with a trace attached ([`ServeConfig::with_trace`]).
     pub fn report(&self) -> ServeReport {
         self.report_with(SloThresholds::default())
     }
 
     /// [`report`](NufftServer::report) with custom thresholds.
     pub fn report_with(&self, slo: SloThresholds) -> ServeReport {
-        let trace_report = self.shared.trace.as_ref().map(|t| t.report());
+        let metrics = self.shared.metrics.metrics();
         ServeReport::build(
-            self.stats(),
+            ServeStats::from_metrics(&metrics),
             self.config.queue_capacity,
-            trace_report.as_ref(),
+            &metrics,
             slo,
         )
     }
@@ -1065,7 +1021,7 @@ fn breaker_note_failure(
     if let Some(persistent) = breaker_class(err) {
         for _ in 0..failed.max(1) {
             if breakers.on_failure(spec, persistent, now) {
-                shared.note_breaker_open();
+                shared.metrics.counter("serve.breaker_open").inc();
             }
         }
     } else {
@@ -1073,7 +1029,10 @@ fn breaker_note_failure(
         // leave a half-open breaker stuck
         breakers.on_success(spec);
     }
-    shared.set_breaker_gauge(breakers.open_count());
+    shared
+        .metrics
+        .gauge("serve.breaker_state")
+        .set(breakers.open_count() as f64);
 }
 
 /// Record a successful execution against `spec`'s breaker. Must run
@@ -1081,7 +1040,10 @@ fn breaker_note_failure(
 /// visibility reason as [`breaker_note_failure`].
 fn breaker_note_success(shared: &Shared, breakers: &mut BreakerSet, spec: &TransformSpec) {
     breakers.on_success(spec);
-    shared.set_breaker_gauge(breakers.open_count());
+    shared
+        .metrics
+        .gauge("serve.breaker_state")
+        .set(breakers.open_count() as f64);
 }
 
 pub(crate) fn worker_loop(shared: &Arc<Shared>, dev: &Device, cfg: &ServeConfig) {
@@ -1113,21 +1075,9 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>, dev: &Device, cfg: &ServeConfig)
             );
             // dequeue-time checks: cancelled or expired requests
             // resolve right here, without any device work
-            if req.payload.is_cancelled() {
-                shared.note_cancelled(1);
-                req.payload.fail(NufftError::Cancelled);
-                continue;
+            if req.payload.still_live(shared, now) {
+                live.push(req);
             }
-            if let Some(deadline) = meta.deadline {
-                if now >= deadline {
-                    shared.note_deadline(1);
-                    shared.note_failed(1);
-                    req.payload
-                        .fail(NufftError::DeadlineExceeded { deadline, now });
-                    continue;
-                }
-            }
-            live.push(req);
         }
         for group in coalesce(live) {
             serve_group(shared, dev, cfg, &mut cache, &mut breakers, group);
@@ -1142,10 +1092,10 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>, dev: &Device, cfg: &ServeConfig)
             continue;
         }
         if req.payload.is_cancelled() {
-            shared.note_cancelled(1);
+            shared.metrics.counter("serve.cancelled").inc();
             req.payload.fail(NufftError::Cancelled);
         } else {
-            shared.note_failed(1);
+            shared.metrics.counter("serve.failed").inc();
             req.payload.fail(NufftError::Shutdown);
         }
     }
@@ -1194,7 +1144,7 @@ fn brownout_group(
                 // so post-cooldown requests rebuild the real plan and
                 // stay bit-exact with a direct build
                 let degraded = spec.clone().method(method);
-                shared.note_brownout(n);
+                shared.metrics.counter("serve.brownout").add(n as i64);
                 let group = Group {
                     spec: degraded.clone(),
                     fp: group.fp,
@@ -1211,7 +1161,7 @@ fn brownout_group(
             // the CPU backend has no modeord support; other orderings
             // fall through to fast-fail
             if spec.modeord == ModeOrder::Centered {
-                shared.note_brownout(n);
+                shared.metrics.counter("serve.brownout").add(n as i64);
                 match spec.precision {
                     Precision::F32 => run_cpu_group::<f32>(shared, dev, &spec, group.payloads),
                     Precision::F64 => run_cpu_group::<f64>(shared, dev, &spec, group.payloads),
@@ -1221,8 +1171,11 @@ fn brownout_group(
         }
         Brownout::FailFast => {}
     }
-    shared.note_breaker_fastfail(n);
-    shared.note_failed(n);
+    shared
+        .metrics
+        .counter("serve.breaker_fastfail")
+        .add(n as i64);
+    shared.metrics.counter("serve.failed").add(n as i64);
     let err = NufftError::BreakerOpen {
         spec: spec.label(),
         retry_after,
@@ -1260,9 +1213,9 @@ fn run_group<T: Real>(
         .map(|t| t.span_with("serve.group", &[(REQUEST_ID_ARG, rep_id.to_string())]));
 
     if cache.contains(&spec) {
-        shared.note_cache_hit();
+        shared.metrics.counter("serve.cache_hit").inc();
     } else {
-        shared.note_cache_miss();
+        shared.metrics.counter("serve.cache_miss").inc();
         let built = PlanBuilder::<T>::from_spec(&spec).and_then(|builder| {
             let mut builder = builder
                 .tuning(cfg.tuning)
@@ -1283,7 +1236,7 @@ fn run_group<T: Real>(
                     .insert(spec.clone(), CacheEntry { plan, pts_fp: None })
                     .is_some()
                 {
-                    shared.note_cache_evict();
+                    shared.metrics.counter("serve.cache_evict").inc();
                 }
             }
             Err(e) => {
@@ -1300,7 +1253,7 @@ fn run_group<T: Real>(
 
     let rep_points = Arc::clone(&payloads[0].points);
     if entry.pts_fp == Some(fp) {
-        shared.note_setpts_reuse();
+        shared.metrics.counter("serve.setpts_reuse").inc();
     } else {
         entry.pts_fp = None;
         if let Err(e) = plan_mut::<T>(&mut entry.plan).set_pts(&rep_points) {
@@ -1312,42 +1265,18 @@ fn run_group<T: Real>(
         entry.pts_fp = Some(fp);
     }
 
-    let m = rep_points.len();
-    let in_per = spec.input_len(m);
-    let out_per = spec.output_len(m);
+    let out_per = spec.output_len(rep_points.len());
     while !payloads.is_empty() {
         let take = payloads.len().min(cfg.max_batch);
         let mut chunk: Vec<Payload<T>> = payloads.drain(..take).collect();
         // chunk-boundary checks: drop members that were cancelled or
         // expired while earlier chunks ran
         let now = dev.clock();
-        chunk.retain(|p| {
-            if p.cell.is_cancelled() {
-                shared.note_cancelled(1);
-                p.cell.fulfill(Err(NufftError::Cancelled));
-                return false;
-            }
-            if let Some(deadline) = p.meta.deadline {
-                if now >= deadline {
-                    shared.note_deadline(1);
-                    shared.note_failed(1);
-                    p.cell
-                        .fulfill(Err(NufftError::DeadlineExceeded { deadline, now }));
-                    return false;
-                }
-            }
-            true
-        });
+        chunk.retain(|p| p.still_live(shared, now));
         if chunk.is_empty() {
             continue;
         }
-        let b = chunk.len();
-        let mut input = Vec::with_capacity(in_per * b);
-        for p in &chunk {
-            input.extend_from_slice(&p.input);
-        }
-        let mut output = vec![Complex::<T>::ZERO; out_per * b];
-        shared.observe("serve.batch_size", b as f64);
+        let (input, mut output) = stack_chunk(shared, &chunk, out_per);
         if let Some(hook) = &cfg.chaos_hook {
             (hook.0)(&spec);
         }
@@ -1355,22 +1284,8 @@ fn run_group<T: Real>(
         let plan = plan_mut::<T>(&mut cache.get_mut(&spec).expect("plan stays resident").plan);
         match plan.execute_many(&input, &mut output) {
             Ok(()) => {
-                let done = Instant::now();
-                // stats before fulfill: a waiter woken by the fulfill
-                // must already see this chunk counted
-                shared.note_batch(b);
-                shared.note_completed(b);
                 breaker_note_success(shared, breakers, &spec);
-                for (i, p) in chunk.into_iter().enumerate() {
-                    shared.request_span("serve.execute", p.meta.id, chunk_start, done);
-                    shared.observe(
-                        "serve.latency",
-                        done.saturating_duration_since(p.meta.submitted)
-                            .as_secs_f64(),
-                    );
-                    p.cell
-                        .fulfill(Ok(output[i * out_per..(i + 1) * out_per].to_vec()));
-                }
+                complete(shared, chunk, &output, out_per, chunk_start);
             }
             Err(e) => {
                 // fail only this chunk; a transient fault leaves the
@@ -1385,7 +1300,8 @@ fn run_group<T: Real>(
                 } else {
                     std::mem::take(&mut payloads)
                 };
-                breaker_note_failure(shared, breakers, &spec, &e, dev.clock(), b + rest.len());
+                let failed = chunk.len() + rest.len();
+                breaker_note_failure(shared, breakers, &spec, &e, dev.clock(), failed);
                 fail_all(shared, chunk, e.clone().at_stage("plan.execute"));
                 if !rest.is_empty() {
                     fail_all(shared, rest, e.at_stage("plan.execute"));
@@ -1412,7 +1328,7 @@ fn quarantine_if_poisoned(
         }
     ) && cache.remove(spec).is_some()
     {
-        shared.note_quarantine();
+        shared.metrics.counter("serve.quarantine").inc();
     }
 }
 
@@ -1453,64 +1369,73 @@ fn run_cpu_group<T: Real>(
         fail_all(shared, payloads, e.at_stage("plan.setpts"));
         return;
     }
-    let m = rep_points.len();
-    let in_per = spec.input_len(m);
-    let out_per = spec.output_len(m);
+    let out_per = spec.output_len(rep_points.len());
     let now = dev.clock();
-    payloads.retain(|p| {
-        if p.cell.is_cancelled() {
-            shared.note_cancelled(1);
-            p.cell.fulfill(Err(NufftError::Cancelled));
-            return false;
-        }
-        if let Some(deadline) = p.meta.deadline {
-            if now >= deadline {
-                shared.note_deadline(1);
-                shared.note_failed(1);
-                p.cell
-                    .fulfill(Err(NufftError::DeadlineExceeded { deadline, now }));
-                return false;
-            }
-        }
-        true
-    });
+    payloads.retain(|p| p.still_live(shared, now));
     if payloads.is_empty() {
         return;
     }
-    let b = payloads.len();
-    let mut input = Vec::with_capacity(in_per * b);
-    for p in &payloads {
-        input.extend_from_slice(&p.input);
-    }
-    let mut output = vec![Complex::<T>::ZERO; out_per * b];
-    shared.observe("serve.batch_size", b as f64);
+    let (input, mut output) = stack_chunk(shared, &payloads, out_per);
     let chunk_start = Instant::now();
     match plan.execute_many(&input, &mut output) {
-        Ok(()) => {
-            let done = Instant::now();
-            shared.note_batch(b);
-            shared.note_completed(b);
-            for (i, p) in payloads.into_iter().enumerate() {
-                shared.request_span("serve.execute", p.meta.id, chunk_start, done);
-                shared.observe(
-                    "serve.latency",
-                    done.saturating_duration_since(p.meta.submitted)
-                        .as_secs_f64(),
-                );
-                p.cell
-                    .fulfill(Ok(output[i * out_per..(i + 1) * out_per].to_vec()));
-            }
-        }
+        Ok(()) => complete(shared, payloads, &output, out_per, chunk_start),
         Err(e) => {
             fail_all(shared, payloads, e.at_stage("plan.execute"));
         }
     }
 }
 
+/// One `execute_many` launch for `chunk`: its inputs stacked, and a
+/// zeroed output of `out_per` values per request.
+fn stack_chunk<T: Real>(
+    shared: &Shared,
+    chunk: &[Payload<T>],
+    out_per: usize,
+) -> (Vec<Complex<T>>, Vec<Complex<T>>) {
+    let b = chunk.len();
+    shared
+        .metrics
+        .histogram("serve.batch_size")
+        .observe(b as f64);
+    let input = chunk.iter().flat_map(|p| p.input.iter().copied()).collect();
+    (input, vec![Complex::<T>::ZERO; out_per * b])
+}
+
+/// Finish a successfully executed chunk: count the launch, then hand
+/// each request its `out_per` slice of `output`. Stats before fulfill:
+/// a waiter woken by the fulfill must already see this chunk counted.
+fn complete<T: Real>(
+    shared: &Shared,
+    chunk: Vec<Payload<T>>,
+    output: &[Complex<T>],
+    out_per: usize,
+    start: Instant,
+) {
+    let done = Instant::now();
+    let b = chunk.len();
+    shared.metrics.counter("serve.batches").inc();
+    if b > 1 {
+        shared.metrics.counter("serve.coalesced").add(b as i64);
+    }
+    shared.metrics.counter("serve.completed").add(b as i64);
+    for (i, p) in chunk.into_iter().enumerate() {
+        shared.request_span("serve.execute", p.meta.id, start, done);
+        shared.metrics.histogram("serve.latency").observe(
+            done.saturating_duration_since(p.meta.submitted)
+                .as_secs_f64(),
+        );
+        p.cell
+            .fulfill(Ok(output[i * out_per..(i + 1) * out_per].to_vec()));
+    }
+}
+
 fn fail_all<T: Real>(shared: &Shared, payloads: Vec<Payload<T>>, err: NufftError) {
     // stats before fulfill, for the same wake-ordering reason as the
     // success path
-    shared.note_failed(payloads.len());
+    shared
+        .metrics
+        .counter("serve.failed")
+        .add(payloads.len() as i64);
     for p in payloads {
         p.cell.fulfill(Err(err.clone()));
     }

@@ -59,7 +59,7 @@ pub(crate) fn supervise(shared: &Arc<Shared>, dev: &Device, cfg: &ServeConfig) {
             Ok(()) => return,
             Err(payload) => {
                 let msg = panic_message(payload.as_ref());
-                shared.note_worker_panic();
+                shared.metrics.counter("serve.worker_panic").inc();
                 let exhausted = respawns >= cfg.supervisor.max_respawns;
                 if exhausted {
                     // budget exhausted: stop admission *before* failing
@@ -78,7 +78,7 @@ pub(crate) fn supervise(shared: &Arc<Shared>, dev: &Device, cfg: &ServeConfig) {
                     if cell.is_settled() {
                         continue;
                     }
-                    shared.note_failed(1);
+                    shared.metrics.counter("serve.failed").inc();
                     cell.fail_if_unsettled(NufftError::WorkerPanic(msg.clone()));
                 }
                 if exhausted {
@@ -87,13 +87,13 @@ pub(crate) fn supervise(shared: &Arc<Shared>, dev: &Device, cfg: &ServeConfig) {
                         if req.is_settled() {
                             continue;
                         }
-                        shared.note_failed(1);
+                        shared.metrics.counter("serve.failed").inc();
                         req.fail_shutdown();
                     }
                     return;
                 }
                 respawns += 1;
-                shared.note_worker_respawn();
+                shared.metrics.counter("serve.worker_respawn").inc();
             }
         }
     }

@@ -553,6 +553,35 @@ fn cancelled_request_resolves_cancelled_without_device_work() {
     common::assert_stats_match_trace(&server.stats(), &trace.report());
 }
 
+#[test]
+fn untraced_server_reports_latency_and_saturation() {
+    // no trace attached: the serve.* histograms are recorded anyway
+    let server = NufftServer::start(&Device::v100(), ServeConfig::default()).unwrap();
+    let spec = spec_2d();
+    let pts = points_for(&spec, 7);
+    const REQUESTS: u64 = 6;
+
+    server.pause();
+    let responses: Vec<_> = (0..REQUESTS)
+        .map(|i| {
+            server
+                .submit(&spec, &pts, gen_strengths::<f32>(M, i))
+                .unwrap()
+        })
+        .collect();
+    server.resume();
+    for r in responses {
+        r.wait().unwrap();
+    }
+
+    let report = server.report();
+    assert!(report.latency.p50.is_some(), "latency p50");
+    assert!(report.latency.p99.is_some(), "latency p99");
+    assert!(report.queue_wait.p50.is_some(), "queue wait p50");
+    assert!(report.queue_depth.p90.is_some(), "queue depth p90");
+    assert_eq!(server.stats().completed, REQUESTS);
+}
+
 // ---------------------------------------------------------------------
 // load shedding
 // ---------------------------------------------------------------------

@@ -26,7 +26,8 @@
 //! * Exporters: Chrome trace-event JSON ([`TraceReport::chrome_json`],
 //!   loadable in Perfetto / `chrome://tracing`, with the simulated GPU
 //!   lanes and the host track as separate rows) and a Prometheus-style
-//!   text dump ([`TraceReport::prometheus`]).
+//!   text dump ([`TraceReport::prometheus`]). [`Trace::metrics`] reads
+//!   only the counters, gauges and histograms, without copying events.
 //!
 //! Tracing is strictly opt-in: with no active trace, [`span!`] is a
 //! no-op and nothing allocates.
@@ -361,40 +362,31 @@ impl Trace {
 
     /// Monotonically increasing counter, created on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let cell = {
-            let mut map = lock(&self.inner.counters);
-            Arc::clone(map.entry(name.to_string()).or_default())
-        };
-        Counter { cell }
+        Counter {
+            cell: cell(&self.inner.counters, name),
+        }
     }
 
     /// Log-bucketed histogram, created on first use. All histograms
     /// share one fixed √2 bucket grid (see [`HistogramSnapshot`]), so snapshots merge
     /// exactly across threads and sessions.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let cell = {
-            let mut map = lock(&self.inner.hists);
-            Arc::clone(map.entry(name.to_string()).or_default())
-        };
-        Histogram { cell }
+        Histogram {
+            cell: cell(&self.inner.hists, name),
+        }
     }
 
-    /// Last-value / max gauge, created on first use (f64-valued).
+    /// Last-value / max gauge, created on first use (f64-valued, 0.0
+    /// until set).
     pub fn gauge(&self, name: &str) -> Gauge {
-        let cell = {
-            let mut map = lock(&self.inner.gauges);
-            Arc::clone(
-                map.entry(name.to_string())
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0f64.to_bits()))),
-            )
-        };
-        Gauge { cell }
+        Gauge {
+            cell: cell(&self.inner.gauges, name),
+        }
     }
 
-    /// Snapshot the session (drains this thread's buffer first).
-    pub fn report(&self) -> TraceReport {
-        flush_thread_buffer();
-        let events = lock(&self.inner.sink).events.clone();
+    /// Snapshot the counter, gauge and histogram values. Unlike
+    /// [`Trace::report`] this copies no events and creates no metric.
+    pub fn metrics(&self) -> MetricSnapshot {
         let counters = lock(&self.inner.counters)
             .iter()
             .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
@@ -407,14 +399,53 @@ impl Trace {
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();
-        let threads = lock(&self.inner.threads).clone();
-        TraceReport {
-            events,
+        MetricSnapshot {
             counters,
             gauges,
             histograms,
-            threads,
         }
+    }
+
+    /// Snapshot the session (drains this thread's buffer first).
+    pub fn report(&self) -> TraceReport {
+        flush_thread_buffer();
+        let events = lock(&self.inner.sink).events.clone();
+        let m = self.metrics();
+        TraceReport {
+            events,
+            counters: m.counters,
+            gauges: m.gauges,
+            histograms: m.histograms,
+            threads: lock(&self.inner.threads).clone(),
+        }
+    }
+}
+
+/// The metric named `name`, created (zeroed) on first use.
+fn cell<C: Default>(map: &Mutex<BTreeMap<String, Arc<C>>>, name: &str) -> Arc<C> {
+    Arc::clone(lock(map).entry(name.to_string()).or_default())
+}
+
+/// Counter, gauge and histogram values of a [`Trace`] at one instant:
+/// the metric half of a [`TraceReport`], without the events.
+#[derive(Clone, Debug, Default)]
+pub struct MetricSnapshot {
+    pub counters: BTreeMap<String, i64>,
+    pub gauges: BTreeMap<String, f64>,
+    pub histograms: BTreeMap<String, HistogramSnapshot>,
+}
+
+impl MetricSnapshot {
+    /// Counter `name`; 0 when nothing recorded it (or it went negative).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .get(name)
+            .map_or(0, |&v| u64::try_from(v).unwrap_or(0))
+    }
+
+    /// Gauge `name`; 0.0 when nothing set it.
+    pub fn gauge(&self, name: &str) -> f64 {
+        self.gauges.get(name).copied().unwrap_or(0.0)
     }
 }
 
@@ -757,6 +788,31 @@ mod tests {
         let r = trace.report();
         assert_eq!(r.counters["bins.points"], 123);
         assert_eq!(r.gauges["imbalance"], 2.0);
+    }
+
+    #[test]
+    fn metrics_snapshot_reads_without_creating() {
+        let trace = Trace::new();
+        trace.counter("serve.accepted").add(3);
+        trace.gauge("serve.queue_peak").max(4.0);
+        trace.histogram("serve.latency").observe(1e-3);
+        trace.device_span(Lane::Compute, "k", "kernel", 0.0, 1.0, &[]);
+        let m = trace.metrics();
+        let r = trace.report();
+        assert_eq!(m.counters, r.counters);
+        assert_eq!(m.gauges, r.gauges);
+        assert_eq!(m.histograms.len(), r.histograms.len());
+        assert_eq!(m.counter("serve.accepted"), 3);
+        assert_eq!(m.gauge("serve.queue_peak"), 4.0);
+        assert_eq!(m.histograms["serve.latency"].count, 1);
+        // absent metrics read as zero and are not created by the read
+        assert_eq!(m.counter("serve.shed"), 0);
+        assert_eq!(m.gauge("serve.breaker_state"), 0.0);
+        assert!(!m.histograms.contains_key("serve.queue_wait"));
+        let again = trace.metrics();
+        assert_eq!(again.counters.len(), 1);
+        assert_eq!(again.gauges.len(), 1);
+        assert_eq!(again.histograms.len(), 1);
     }
 
     #[test]

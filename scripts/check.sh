@@ -10,6 +10,11 @@ cargo fmt --check
 echo "== cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# perfbench is its own cargo workspace, so the workspace passes above
+# never build it; check it against the current public APIs it uses.
+echo "== cargo check perfbench (separate workspace)"
+cargo check -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
